@@ -81,3 +81,7 @@ class DimensionMismatch(PlatError):
 
 class IncomparableSpheres(PlatError):
     """regions_between needs componentwise comparable spheres."""
+
+
+class InternalError(PlatError):
+    """A mathematical invariant of the package's own construction failed."""

@@ -3,8 +3,9 @@
 Everything here is exact integer arithmetic: Laurent polynomials with
 integer coefficients, a brute-force Kauffman bracket over all 2^c
 smoothing states (capped, default 22 crossings), the Jones polynomial by
-writhe normalization, and the knot/link determinant from the Wirtinger
-presentation evaluated at t = -1 with fraction-free (Bareiss) elimination.
+writhe normalization, and the knot/link determinant from the sparse
+Wirtinger presentation at t = -1, eliminated on +-1 pivots with
+fraction-free (Bareiss) elimination of the small dense core that remains.
 
 The bracket and the determinant are deliberately independent computations
 of overlapping information: |jones(t=-1)| must reproduce the determinant,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import TooManyCrossings
+from .errors import InternalError, TooManyCrossings
 from .plat import PlanarDiagram
 
 __all__ = [
@@ -273,7 +274,7 @@ def _normalize_bracket(bracket: LaurentPoly, w: int) -> LaurentPoly:
     for e, cf in bracket.coeffs.items():
         ea = e - 3 * w
         if ea % 2 != 0:
-            raise AssertionError("normalized bracket exponent is odd")
+            raise InternalError("normalized bracket exponent is odd")
         out[-ea // 2] = sign * cf
     return LaurentPoly(out)
 
@@ -307,7 +308,7 @@ def jones_at_minus_one(poly: LaurentPoly) -> int:
         else:
             im -= cf
     if re != 0 and im != 0:
-        raise AssertionError(f"V(-1) = {re}{im:+d}i is not unit times integer")
+        raise InternalError(f"V(-1) = {re}{im:+d}i is not unit times integer")
     return abs(re) + abs(im)
 
 
@@ -338,18 +339,22 @@ def _bareiss_abs_det(mat: list[list[int]]) -> int:
 def determinant(diagram: PlanarDiagram) -> int:
     """Link determinant |Delta(-1)| via Fox calculus on the Wirtinger
     presentation: one relation per crossing with integer stencil
-    (over, under_in, under_out) = (2, -1, -1), one column deleted.
+    (over, under_in, under_out) = (2, -1, -1), one relation and one
+    generator deleted, eliminated on +-1 pivots with Bareiss on the rest.
 
     Split diagrams return the product over split factors (each crossingless
     circle contributes 1).  A factor containing an entirely-over circle has
     an underdetermined presentation and contributes 0.
     """
-    quads = diagram.quadruples
-    ncross = len(quads)
-    if ncross == 0:
-        return 1
+    result = 1
+    for crossings in _split_factors(diagram.quadruples):
+        result *= _factor_determinant(diagram.quadruples, crossings)
+    return result
 
-    # Split the 4-valent graph into connected factors (crossings as nodes).
+
+def _split_factors(quads) -> list[list[int]]:
+    """Crossing indices of each connected factor of the 4-valent graph."""
+    ncross = len(quads)
     cparent = list(range(ncross))
 
     def cfind(x: int) -> int:
@@ -371,16 +376,12 @@ def determinant(diagram: PlanarDiagram) -> int:
     factors: dict[int, list[int]] = {}
     for k in range(ncross):
         factors.setdefault(cfind(k), []).append(k)
-
-    result = 1
-    for crossings in factors.values():
-        result *= _factor_determinant(quads, crossings)
-        if result == 0:
-            return 0
-    return result
+    return list(factors.values())
 
 
-def _factor_determinant(quads, crossings: list[int]) -> int:
+def _wirtinger_minor(quads, crossings: list[int]) -> list[dict[int, int]] | None:
+    """One factor's Wirtinger matrix at t = -1, last relation and generator
+    deleted, as {column: nonzero entry} rows; None if a generator is free."""
     # Wirtinger generators: PD arcs glued along over-strands.
     aparent: dict[int, int] = {}
 
@@ -407,17 +408,62 @@ def _factor_determinant(quads, crossings: list[int]) -> int:
         if r not in cols:
             cols[r] = len(cols)
     n_arcs = len(cols)
-    n_cross = len(crossings)
-    if n_arcs > n_cross:
-        # an entirely-over circle: presentation has a free generator
-        return 0
+    if n_arcs > len(crossings):  # an entirely-over circle
+        return None
 
-    matrix = [[0] * n_arcs for _ in range(n_cross)]
-    for row, k in enumerate(crossings):
+    # first minors at t=-1 agree up to sign, so drop the last row and column
+    rows = []
+    for k in crossings[:-1]:
         a, b, c, _ = quads[k]
-        matrix[row][cols[afind(b)]] += 2
-        matrix[row][cols[afind(a)]] -= 1
-        matrix[row][cols[afind(c)]] -= 1
-    # delete one relation and one generator; first minors at t=-1 agree up to sign
-    minor = [row[: n_arcs - 1] for row in matrix[: n_cross - 1]]
-    return _bareiss_abs_det(minor)
+        row: dict[int, int] = {}
+        for arc, v in ((b, 2), (a, -1), (c, -1)):
+            j = cols[afind(arc)]
+            if j < n_arcs - 1:
+                row[j] = row.get(j, 0) + v
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _factor_determinant(quads, crossings: list[int]) -> int:
+    """|det| of one factor's minor: pivot on +-1 entries, Bareiss on the rest.
+
+    Clearing a +-1 pivot's column with multiples of its row is unimodular,
+    so the pivot row and column drop out with |det| unchanged.  The pivot is
+    the first live row with a unit entry, in its unit column with fewest rows.
+    """
+    rows = _wirtinger_minor(quads, crossings)
+    if rows is None:
+        return 0
+    col_rows: dict[int, set[int]] = {j: set() for j in range(len(rows))}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    pending = set(range(len(rows)))  # live rows that may hold a unit entry
+    while pending:
+        p = min(pending)
+        pending.discard(p)
+        prow = rows[p]
+        units = [j for j, v in prow.items() if abs(v) == 1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(col_rows[j]))
+        rows[p] = None
+        for j in prow:
+            col_rows[j].discard(p)
+        for r in col_rows.pop(c):
+            row = rows[r]
+            f = row.pop(c) * prow[c]
+            for j, v in prow.items():
+                if j != c:
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                        col_rows[j].add(r)
+                    else:
+                        del row[j]
+                        col_rows[j].discard(r)
+            if not row:
+                return 0
+            pending.add(r)
+    core = [row for row in rows if row is not None]
+    return _bareiss_abs_det([[row.get(j, 0) for j in col_rows] for row in core])

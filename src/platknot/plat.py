@@ -22,6 +22,7 @@ from . import braid as _braid
 from .errors import (
     EvenHeight,
     FormatError,
+    InternalError,
     WidthTooSmall,
     WrongRowLength,
 )
@@ -301,7 +302,8 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
             arc_ports.append([])
         arc_ports[arc_of_root[r]].extend(seg_ports[s])
     n_arcs = len(arc_ports)
-    assert all(len(ports) == 2 for ports in arc_ports)
+    if any(len(ports) != 2 for ports in arc_ports):
+        raise InternalError("a diagram arc does not have exactly two ends")
 
     quad_raw = [[arc_of_root[find(s)] for s in segs] for segs in crossing_segs]
     port_arc = {}
@@ -417,7 +419,8 @@ def component_count(mat: TwistMatrix, style: PlatClosureStyle = PlatClosureStyle
         while not seen[p]:
             seen[p] = True
             p = tau_t[inv[tau_b[perm[p - 1]]]]
-    assert orbits % 2 == 0
+    if orbits % 2:
+        raise InternalError(f"odd number of closure orbits: {orbits}")
     return orbits // 2
 
 

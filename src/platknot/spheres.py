@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, DimensionsOutOfTheoremRange, IncomparableSpheres
+from .errors import (DimensionMismatch, DimensionsOutOfTheoremRange,
+                     IncomparableSpheres, InternalError)
 
 __all__ = [
     "VerticalSphere",
@@ -100,5 +101,6 @@ def maximal_collection(m: int, n: int) -> list[VerticalSphere]:
         while counts[i - 1] < _row_max(m, i):
             counts[i - 1] += 1
             chain.append(VerticalSphere(tuple(counts)))
-    assert len(chain) == maximal_collection_size(m, n)
+    if len(chain) != maximal_collection_size(m, n):
+        raise InternalError(f"chain of {len(chain)} spheres misses the size formula")
     return chain

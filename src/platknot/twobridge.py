@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .errors import (
     DivisionByZeroTail,
+    InternalError,
     InvalidCoefficients,
     NotRepresentable,
 )
@@ -77,7 +78,8 @@ def cf_reconstruct(r: Fraction | int) -> tuple[int, ...]:
         tail = r - a
         if tail == 0:
             return tuple(coeffs)
-        assert 2 * abs(tail.numerator) < tail.denominator  # |tail| < 1/2
+        if 2 * abs(tail.numerator) >= tail.denominator:
+            raise InternalError(f"nearest-integer tail {tail} is not below 1/2")
         r = 1 / tail
 
 
