@@ -349,6 +349,8 @@ def determinant(diagram: PlanarDiagram) -> int:
     result = 1
     for crossings in _split_factors(diagram.quadruples):
         result *= _factor_determinant(diagram.quadruples, crossings)
+        if result == 0:
+            return 0
     return result
 
 
@@ -425,12 +427,9 @@ def _wirtinger_minor(quads, crossings: list[int]) -> list[dict[int, int]] | None
 
 
 def _factor_determinant(quads, crossings: list[int]) -> int:
-    """|det| of one factor's minor: pivot on +-1 entries, Bareiss on the rest.
-
-    Clearing a +-1 pivot's column with multiples of its row is unimodular,
-    so the pivot row and column drop out with |det| unchanged.  The pivot is
-    the first live row with a unit entry, in its unit column with fewest rows.
-    """
+    """|det| of one factor's minor: clear each +-1 pivot's column with its row
+    (unimodular, |det| unchanged), then Bareiss on the core that is left.  The
+    pivot is the first live row with a unit entry, in its sparsest unit column."""
     rows = _wirtinger_minor(quads, crossings)
     if rows is None:
         return 0

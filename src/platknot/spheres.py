@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, DimensionsOutOfTheoremRange,
-                     IncomparableSpheres, InternalError)
+from .errors import DimensionMismatch, DimensionsOutOfTheoremRange, IncomparableSpheres, InternalError
 
 __all__ = [
     "VerticalSphere",

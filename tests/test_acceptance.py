@@ -52,6 +52,33 @@ def small_plat(rng: random.Random, max_total: int = 22) -> TwistMatrix:
             return mat
 
 
+def criterion_2_plats() -> list[TwistMatrix]:
+    """The 100 random plats whose rotations criterion 2 compares."""
+    rng = random.Random(202)
+    return [small_plat(rng) for _ in range(100)]
+
+
+def criterion_7_plats() -> list[TwistMatrix]:
+    """Random plats drawn until 100 have connected closures, which criterion 7 checks."""
+    rng = random.Random(707)
+    plats, connected = [], 0
+    while connected < 100:
+        plats.append(small_plat(rng))
+        connected += diagram_is_connected(closure(plats[-1]))
+    return plats
+
+
+def criterion_9_variants(base: TwistMatrix) -> list[tuple[int, int, TwistMatrix]]:
+    """(i, j, base with |entry (i, j)| one larger), which stays 4-highly twisted."""
+    variants = []
+    for i, row in enumerate(base.rows):
+        for j, a in enumerate(row):
+            rows = [list(r) for r in base.rows]
+            rows[i][j] = a - 1 if a < 0 else a + 1
+            variants.append((i, j, TwistMatrix(base.m, rows)))
+    return variants
+
+
 def test_criterion_1_rotation_orbit_correctness():
     rng = random.Random(101)
     for _ in range(200):
@@ -64,10 +91,8 @@ def test_criterion_1_rotation_orbit_correctness():
 
 
 def test_criterion_2_rotation_action_soundness_via_oracle():
-    rng = random.Random(202)
     mirror_only = 0
-    for _ in range(100):
-        mat = small_plat(rng)
+    for mat in criterion_2_plats():
         d0 = closure(mat)
         det0, comp0 = determinant(d0), d0.n_components
         j0 = jones_canonical(d0)
@@ -177,15 +202,14 @@ def test_criterion_7_invariant_oracle_self_consistency():
     for a in (1, -1):
         d = closure(TwistMatrix(2, [(a,)]))
         assert kauffman_bracket(d) == LaurentPoly.monomial(-1, 3 * d.writhe)
-    rng = random.Random(707)
     done = 0
-    while done < 100:
-        mat = small_plat(rng)
+    for mat in criterion_7_plats():
         d = closure(mat)
         if not diagram_is_connected(d):
             continue
         done += 1
         assert determinant(d) == jones_at_minus_one(jones(d)), mat
+    assert done == 100
     report("criterion 7: determinant == |Jones(-1)| on 100 random connected "
            "diagrams; bracket normalizations exact", True)
 
@@ -209,16 +233,12 @@ def test_criterion_9_negative_control():
     base = canonical_form(EXAMPLE)
     det_base = determinant(closure(base))
     certified = total = 0
-    for i, row in enumerate(base.rows):
-        for j, a in enumerate(row):
-            rows = [list(r) for r in base.rows]
-            rows[i][j] = a - 1 if a < 0 else a + 1  # stays 4-highly twisted
-            other = TwistMatrix(base.m, rows)
-            total += 1
-            assert canonical_form(other) != canonical_form(base), (i, j)
-            assert not equivalent(base, other)
-            if determinant(closure(other)) != det_base:
-                certified += 1
+    for i, j, other in criterion_9_variants(base):
+        total += 1
+        assert canonical_form(other) != canonical_form(base), (i, j)
+        assert not equivalent(base, other)
+        if determinant(closure(other)) != det_base:
+            certified += 1
     report("criterion 9: every single-entry change moves the canonical form "
            f"({total} positions; {certified} verdicts certified by determinant)",
            True)

@@ -23,7 +23,7 @@ from platknot.invariants import (
 )
 
 from conftest import random_matrix
-from test_acceptance import EXAMPLE, small_plat
+from test_acceptance import EXAMPLE, criterion_2_plats, criterion_7_plats, criterion_9_variants
 from test_invariants import diagram_is_connected
 
 
@@ -40,24 +40,11 @@ def dense_determinant(d) -> int:
 
 
 def criterion_plats() -> list[TwistMatrix]:
-    """The plats acceptance criteria 2, 7 and 9 draw, with the same seeds."""
-    rng = random.Random(202)
-    plats = [apply(g, mat) for mat in (small_plat(rng) for _ in range(100))
-             for g in ELEMENTS]
-    rng = random.Random(707)
-    connected = 0
-    while connected < 100:
-        mat = small_plat(rng)
-        plats.append(mat)
-        connected += diagram_is_connected(closure(mat))
+    """The plats of acceptance criteria 2 (with their rotations), 7 and 9."""
+    plats = [apply(g, mat) for mat in criterion_2_plats() for g in ELEMENTS]
+    plats += criterion_7_plats()
     base = canonical_form(EXAMPLE)
-    plats.append(base)
-    for i, row in enumerate(base.rows):
-        for j, a in enumerate(row):
-            rows = [list(r) for r in base.rows]
-            rows[i][j] = a - 1 if a < 0 else a + 1
-            plats.append(TwistMatrix(base.m, rows))
-    return plats
+    return plats + [base] + [other for _, _, other in criterion_9_variants(base)]
 
 
 def hilden_translates(mat: TwistMatrix, rng: random.Random, count: int) -> list[BraidWord]:

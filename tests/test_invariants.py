@@ -8,7 +8,6 @@ from platknot.errors import TooManyCrossings
 from platknot.invariants import (
     DELTA,
     LaurentPoly,
-    _split_factors,
     determinant,
     jones,
     jones_at_minus_one,
@@ -139,7 +138,28 @@ class TestDeterminant:
 
 def diagram_is_connected(d):
     """Connectivity of the 4-valent graph (plus lone circles)."""
-    return len(_split_factors(d.quadruples)) + d.free_loops == 1
+    if d.crossing_count == 0:
+        return d.free_loops == 1
+    if d.free_loops:
+        return False
+    root = list(range(d.crossing_count))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    home = {}
+    for k, quad in enumerate(d.quadruples):
+        for a in quad:
+            if a in home:
+                ra, rk = find(home[a]), find(k)
+                if ra != rk:
+                    root[rk] = ra
+            else:
+                home[a] = k
+    return len({find(k) for k in range(d.crossing_count)}) == 1
 
 
 class TestOracleConsistency:
