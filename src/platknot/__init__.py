@@ -28,6 +28,6 @@ from .plat import (
     validate,
 )
 from .spheres import VerticalSphere, maximal_collection
-from .twobridge import Rational, cf_evaluate, cf_reconstruct, schubert_pair
+from .twobridge import cf_evaluate, cf_reconstruct, schubert_pair
 
 __version__ = "0.1.0"

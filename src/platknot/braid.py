@@ -41,7 +41,7 @@ class BraidLetter:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+            raise IndexRange(f"sign must be +1 or -1, got {self.sign}")
         if self.index < 1:
             raise IndexRange(f"generator index must be >= 1, got {self.index}")
 
@@ -58,7 +58,7 @@ class BraidWord:
 
     def __post_init__(self):
         if self.strands < 2 or self.strands % 2 != 0:
-            raise ValueError(f"strands must be even and >= 2, got {self.strands}")
+            raise IndexRange(f"strands must be even and >= 2, got {self.strands}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for lt in self.letters:
             if not 1 <= lt.index <= self.strands - 1:

@@ -119,34 +119,31 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
-def _format_jones(poly: invariants.LaurentPoly) -> str:
-    return poly.format("t", 2)
-
-
-def _cmd_invariants(args) -> int:
-    mat = _load_matrix(args.file)
-    diagram = closure(mat, _style(args))
-    payload = {
-        "components": diagram.n_components,
-        "crossings": diagram.crossing_count,
-        "writhe": diagram.writhe,
-        "determinant": invariants.determinant(diagram),
-    }
-    lines = [f"components:  {payload['components']}",
-             f"crossings:   {payload['crossings']}",
-             f"writhe:      {payload['writhe']}",
-             f"determinant: {payload['determinant']}"]
+def _print_invariants(args, diagram, head: tuple = ()) -> int:
+    """Print the invariant report of ``diagram`` after the ``(name, value)``
+    fields in ``head``: components, crossings, writhe, determinant and the
+    Jones polynomial, which is skipped above ``--jones-cap`` crossings."""
+    fields = [*head,
+              ("components", diagram.n_components),
+              ("crossings", diagram.crossing_count),
+              ("writhe", diagram.writhe),
+              ("determinant", invariants.determinant(diagram))]
+    payload = dict(fields)
     if diagram.crossing_count <= args.jones_cap:
         jv = invariants.jones(diagram, args.jones_cap)
         payload["jones"] = {str(e): c for e, c in sorted(jv.coeffs.items())}
         payload["jones-exponent-unit"] = "t^(1/2)"
-        lines.append(f"jones:       {_format_jones(jv)}")
+        fields.append(("jones", jv.format("t", 2)))
     else:
         payload["jones"] = None
-        lines.append(f"jones:       skipped ({diagram.crossing_count} crossings "
-                     f"> cap {args.jones_cap})")
-    _emit(args, payload, "\n".join(lines))
+        fields.append(("jones", f"skipped ({diagram.crossing_count} crossings "
+                                f"> cap {args.jones_cap})"))
+    _emit(args, payload, "\n".join(f"{name + ':':<13}{value}" for name, value in fields))
     return 0
+
+
+def _cmd_invariants(args) -> int:
+    return _print_invariants(args, closure(_load_matrix(args.file), _style(args)))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -200,24 +197,8 @@ def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
 
 
 def _print_word_invariants(args, word) -> int:
-    diagram = braid_closure(word)
-    payload = {
-        "strands": word.strands,
-        "word": braidmod.format_word(word),
-        "components": diagram.n_components,
-        "crossings": diagram.crossing_count,
-        "determinant": invariants.determinant(diagram),
-    }
-    lines = [f"word:        {payload['word']}",
-             f"components:  {payload['components']}",
-             f"crossings:   {payload['crossings']}",
-             f"determinant: {payload['determinant']}"]
-    if diagram.crossing_count <= args.jones_cap:
-        jv = invariants.jones(diagram, args.jones_cap)
-        payload["jones"] = {str(e): c for e, c in sorted(jv.coeffs.items())}
-        lines.append(f"jones:       {_format_jones(jv)}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return _print_invariants(args, braid_closure(word),
+                             (("strands", word.strands), ("word", braidmod.format_word(word))))
 
 
 def _cmd_hilden_apply(args) -> int:
@@ -235,8 +216,7 @@ def _cmd_hilden_random(args) -> int:
 
 def _cmd_hilden_coset(args) -> int:
     report = hilden.coset_consistency(_load_matrix(args.file1), _load_matrix(args.file2),
-                                      samples=args.samples, seed=args.seed,
-                                      jones_cap=args.jones_cap)
+                                      samples=args.samples, seed=args.seed)
     if args.json:
         print(json.dumps({"verdict": report.verdict,
                           "rotation_related": report.rotation_related,
@@ -258,6 +238,35 @@ def _cmd_spheres(args) -> int:
     return 0
 
 
+def _int_in(lo: int, hi: int):
+    """argparse type for an integer in lo..hi, rejected before any work starts."""
+    def check(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
+        return value
+    check.__name__ = "int"  # argparse names the type in "invalid int value"
+    return check
+
+
+def _shared_option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+# Built once: subcommands copy their actions, which parsing never modifies.
+_STYLE = _shared_option("--style", default="standard",
+                        choices=[s.value for s in PlatClosureStyle])
+_JONES_CAP = _shared_option(
+    "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
+    help="largest crossing count whose Jones polynomial is computed, "
+         f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
+_FORCE = _shared_option("--force", action="store_true",
+                        help="normalize even outside the uniqueness hypotheses")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plat",
@@ -266,23 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+    def add(name, fn, help_, parents=()):
+        p = sub.add_parser(name, help=help_, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
     p = add("validate", _cmd_validate, "check the row-length pattern of a matrix file")
     p.add_argument("file")
 
-    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)")
+    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)", [_FORCE])
     p.add_argument("file")
-    p.add_argument("--force", action="store_true",
-                   help="normalize even outside the uniqueness hypotheses")
 
-    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no)")
+    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no)", [_FORCE])
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--force", action="store_true")
 
     p = add("symmetries", _cmd_symmetries, "rotations fixing the matrix")
     p.add_argument("file")
@@ -292,16 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_ in (("pd", _cmd_pd, "PD code of the plat closure"),
                             ("gauss", _cmd_gauss, "Gauss code of the plat closure")):
-        p = add(name, fn, help_)
+        p = add(name, fn, help_, [_STYLE])
         p.add_argument("file")
-        p.add_argument("--style", default="standard",
-                       choices=[s.value for s in PlatClosureStyle])
 
-    p = add("invariants", _cmd_invariants, "components, writhe, determinant, Jones")
+    p = add("invariants", _cmd_invariants, "components, writhe, determinant, Jones",
+            [_STYLE, _JONES_CAP])
     p.add_argument("file")
-    p.add_argument("--style", default="standard",
-                   choices=[s.value for s in PlatClosureStyle])
-    p.add_argument("--jones-cap", type=int, default=invariants.BRACKET_CAP)
 
     p = add("twobridge", _cmd_twobridge, "Schubert pair / expansion reconstruction")
     p.add_argument("file", nargs="?")
@@ -312,25 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hilden", help="Hilden moves and double-coset probes")
     hsub = ph.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("apply", help="multiply the standard word by Hilden moves")
+    p = hsub.add_parser("apply", help="multiply the standard word by Hilden moves",
+                        parents=[_JONES_CAP])
     p.set_defaults(fn=_cmd_hilden_apply)
     p.add_argument("file")
     p.add_argument("--left", help='moves multiplied on the left, e.g. "h2@1,h1@3"')
     p.add_argument("--right", help="moves multiplied on the right")
-    p.add_argument("--jones-cap", type=int, default=invariants.BRACKET_CAP)
-    p = hsub.add_parser("random", help="seeded random element of the Hilden subgroup")
+    p = hsub.add_parser("random", help="seeded random element of the Hilden subgroup",
+                        parents=[_JONES_CAP])
     p.set_defaults(fn=_cmd_hilden_random)
     p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_int_in(0, 1000), required=True,
+                   help="number of generators multiplied, 0..1000")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jones-cap", type=int, default=invariants.BRACKET_CAP)
     p = hsub.add_parser("coset", help="falsification harness for coset equality")
     p.set_defaults(fn=_cmd_hilden_coset)
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_in(0, 10_000), default=20,
+                   help="Hilden translates checked, 0..10000 (default 20)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jones-cap", type=int, default=invariants.BRACKET_CAP)
 
     p = add("spheres", _cmd_spheres, "canonical maximal collection of vertical spheres")
     p.add_argument("--m", type=int, required=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .braid import BraidWord, compose, free_reduce, inverse, word_from_syllables
 from .canonical import equivalent
 from .errors import IndexParity, IndexRange
-from .invariants import BRACKET_CAP, determinant, jones
+from .invariants import determinant
 from .plat import TwistMatrix, braid_closure, to_braid_word
 
 __all__ = [
@@ -137,22 +137,17 @@ class CosetReport:
         return "\n".join(lines)
 
 
-def _closure_invariants(word: BraidWord, jones_cap: int) -> dict:
+def _closure_invariants(word: BraidWord) -> dict:
     diagram = braid_closure(word)
-    inv = {"components": diagram.n_components, "determinant": determinant(diagram)}
-    if diagram.crossing_count <= jones_cap:
-        inv["jones"] = jones(diagram, jones_cap)
-    return inv
+    return {"components": diagram.n_components, "determinant": determinant(diagram)}
 
 
-def _comparable(inv1: dict, inv2: dict) -> dict:
-    keys = (inv1.keys() & inv2.keys()) - {"jones"}
-    return {k: (inv1[k], inv2[k]) for k in keys if inv1[k] != inv2[k]}
+def _differences(inv1: dict, inv2: dict) -> dict:
+    return {k: (v, inv2[k]) for k, v in inv1.items() if v != inv2[k]}
 
 
 def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
-                      samples: int = 20, seed: int = 0,
-                      jones_cap: int = BRACKET_CAP) -> CosetReport:
+                      samples: int = 20, seed: int = 0) -> CosetReport:
     """Probe whether the expanded words of two highly twisted plats can lie
     in the same Hilden double coset.
 
@@ -166,11 +161,11 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     # canonical_form preconditions are enforced by `equivalent`
     rotation_related = equivalent(mat1, mat2)
     b1, b2 = to_braid_word(mat1), to_braid_word(mat2)
-    inv1 = _closure_invariants(b1, jones_cap)
-    inv2 = _closure_invariants(b2, jones_cap)
+    inv1 = _closure_invariants(b1)
+    inv2 = _closure_invariants(b2)
 
     violations: list[str] = []
-    separating = _comparable(inv1, inv2)
+    separating = _differences(inv1, inv2)
     if rotation_related and separating:
         violations.append(f"rotation-equal matrices with unequal invariants: {separating}")
 
@@ -180,8 +175,8 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
         h_left = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
         h_right = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
         translate = compose(compose(h_left, b1), h_right)
-        inv_t = _closure_invariants(translate, jones_cap)
-        mismatch = _comparable(inv1, inv_t)
+        inv_t = _closure_invariants(translate)
+        mismatch = _differences(inv1, inv_t)
         if mismatch:
             violations.append(
                 f"sample {s}: Hilden translate changed closure invariants: {mismatch}")
@@ -198,8 +193,8 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     return CosetReport(
         verdict=verdict,
         rotation_related=rotation_related,
-        invariants1={k: (v.format("t", 2) if k == "jones" else v) for k, v in inv1.items()},
-        invariants2={k: (v.format("t", 2) if k == "jones" else v) for k, v in inv2.items()},
+        invariants1=inv1,
+        invariants2=inv2,
         samples_checked=samples,
         violations=tuple(violations),
     )

@@ -8,9 +8,10 @@ Wirtinger presentation at t = -1, eliminated on +-1 pivots with
 fraction-free (Bareiss) elimination of the small dense core that remains.
 
 The bracket and the determinant are deliberately independent computations
-of overlapping information: |jones(t=-1)| must reproduce the determinant,
-and that cross-check is what lets the rest of the package trust its sign
-and orientation conventions.
+of overlapping information: |jones(t=-1)| must reproduce the determinant
+on every diagram, split ones included (both are 0 there), and that
+cross-check is what lets the rest of the package trust its sign and
+orientation conventions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "jones_at_minus_one",
     "max_writhe",
     "determinant",
-    "writhe",
     "BRACKET_CAP",
 ]
 
@@ -126,11 +126,6 @@ class LaurentPoly:
 
 
 DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
-
-
-def writhe(diagram: PlanarDiagram) -> int:
-    """Sum of crossing signs under the diagram's stored orientation."""
-    return diagram.writhe
 
 
 def _state_loop_counts(quadruples, arc_count: int) -> dict[tuple[int, int], int]:
@@ -340,97 +335,19 @@ def determinant(diagram: PlanarDiagram) -> int:
     """Link determinant |Delta(-1)| via Fox calculus on the Wirtinger
     presentation: one relation per crossing with integer stencil
     (over, under_in, under_out) = (2, -1, -1), one relation and one
-    generator deleted, eliminated on +-1 pivots with Bareiss on the rest.
+    generator deleted.
 
-    Split diagrams return the product over split factors (each crossingless
-    circle contributes 1).  A factor containing an entirely-over circle has
-    an underdetermined presentation and contributes 0.
+    The minor is eliminated on +-1 pivots: the first live row with a unit
+    entry clears that entry's column, choosing the unit column shared by the
+    fewest rows (unimodular, so |det| is unchanged), and Bareiss finishes the
+    core that is left.  Split links have determinant 0, as |V(-1)| does: the
+    Wirtinger minor of a split diagram vanishes, and a crossingless circle
+    beside anything else (or an entirely-over circle) splits the diagram.
+    A lone crossingless circle is the unknot, 1.
     """
-    result = 1
-    for crossings in _split_factors(diagram.quadruples):
-        result *= _factor_determinant(diagram.quadruples, crossings)
-        if result == 0:
-            return 0
-    return result
-
-
-def _split_factors(quads) -> list[list[int]]:
-    """Crossing indices of each connected factor of the 4-valent graph."""
-    ncross = len(quads)
-    cparent = list(range(ncross))
-
-    def cfind(x: int) -> int:
-        while cparent[x] != x:
-            cparent[x] = cparent[cparent[x]]
-            x = cparent[x]
-        return x
-
-    arc_home: dict[int, int] = {}
-    for k, quad in enumerate(quads):
-        for a in quad:
-            if a in arc_home:
-                ra, rk = cfind(arc_home[a]), cfind(k)
-                if ra != rk:
-                    cparent[rk] = ra
-            else:
-                arc_home[a] = k
-
-    factors: dict[int, list[int]] = {}
-    for k in range(ncross):
-        factors.setdefault(cfind(k), []).append(k)
-    return list(factors.values())
-
-
-def _wirtinger_minor(quads, crossings: list[int]) -> list[dict[int, int]] | None:
-    """One factor's Wirtinger matrix at t = -1, last relation and generator
-    deleted, as {column: nonzero entry} rows; None if a generator is free."""
-    # Wirtinger generators: PD arcs glued along over-strands.
-    aparent: dict[int, int] = {}
-
-    def afind(x: int) -> int:
-        root = x
-        while aparent[root] != root:
-            root = aparent[root]
-        while aparent[x] != root:
-            aparent[x], x = root, aparent[x]
-        return root
-
-    for k in crossings:
-        for a in quads[k]:
-            aparent.setdefault(a, a)
-    for k in crossings:
-        _, b, _, d = quads[k]
-        rb, rd = afind(b), afind(d)
-        if rb != rd:
-            aparent[rd] = rb
-
-    cols: dict[int, int] = {}
-    for a in aparent:
-        r = afind(a)
-        if r not in cols:
-            cols[r] = len(cols)
-    n_arcs = len(cols)
-    if n_arcs > len(crossings):  # an entirely-over circle
-        return None
-
-    # first minors at t=-1 agree up to sign, so drop the last row and column
-    rows = []
-    for k in crossings[:-1]:
-        a, b, c, _ = quads[k]
-        row: dict[int, int] = {}
-        for arc, v in ((b, 2), (a, -1), (c, -1)):
-            j = cols[afind(arc)]
-            if j < n_arcs - 1:
-                row[j] = row.get(j, 0) + v
-        rows.append({j: v for j, v in row.items() if v})
-    return rows
-
-
-def _factor_determinant(quads, crossings: list[int]) -> int:
-    """|det| of one factor's minor: clear each +-1 pivot's column with its row
-    (unimodular, |det| unchanged), then Bareiss on the core that is left.  The
-    pivot is the first live row with a unit entry, in its sparsest unit column."""
-    rows = _wirtinger_minor(quads, crossings)
+    if diagram.free_loops:
+        return 1 if diagram.free_loops == 1 and not diagram.quadruples else 0
+    rows = _wirtinger_minor(diagram.quadruples)
     if rows is None:
         return 0
     col_rows: dict[int, set[int]] = {j: set() for j in range(len(rows))}
@@ -466,3 +383,46 @@ def _factor_determinant(quads, crossings: list[int]) -> int:
             pending.add(r)
     core = [row for row in rows if row is not None]
     return _bareiss_abs_det([[row.get(j, 0) for j in col_rows] for row in core])
+
+
+def _wirtinger_minor(quads) -> list[dict[int, int]] | None:
+    """The Wirtinger matrix at t = -1, last relation and generator deleted,
+    as {column: nonzero entry} rows; None if a generator is free."""
+    # Wirtinger generators: PD arcs glued along over-strands.
+    aparent: dict[int, int] = {}
+
+    def afind(x: int) -> int:
+        root = x
+        while aparent[root] != root:
+            root = aparent[root]
+        while aparent[x] != root:
+            aparent[x], x = root, aparent[x]
+        return root
+
+    for quad in quads:
+        for a in quad:
+            aparent.setdefault(a, a)
+    for _, b, _, d in quads:
+        rb, rd = afind(b), afind(d)
+        if rb != rd:
+            aparent[rd] = rb
+
+    cols: dict[int, int] = {}
+    for a in aparent:
+        r = afind(a)
+        if r not in cols:
+            cols[r] = len(cols)
+    n_arcs = len(cols)
+    if n_arcs > len(quads):  # an entirely-over circle
+        return None
+
+    # first minors at t=-1 agree up to sign, so drop the last row and column
+    rows = []
+    for a, b, c, _ in quads[:-1]:
+        row: dict[int, int] = {}
+        for arc, v in ((b, 2), (a, -1), (c, -1)):
+            j = cols[afind(arc)]
+            if j < n_arcs - 1:
+                row[j] = row.get(j, 0) + v
+        rows.append({j: v for j, v in row.items() if v})
+    return rows

@@ -101,12 +101,16 @@ class TwistMatrix:
         if obj.get("plat-format", 1) != 1:
             raise FormatError(f"unsupported plat-format {obj.get('plat-format')!r}")
         try:
-            mat = cls(int(obj["m"]), tuple(tuple(r) for r in obj["rows"]))
+            m, rows = obj["m"], [tuple(r) for r in obj["rows"]]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad twist-matrix JSON: {exc}") from None
-        if "n" in obj and int(obj["n"]) != mat.n:
-            raise FormatError(f"n={obj['n']} does not match {mat.n} rows")
-        return mat
+        n = obj.get("n", len(rows))
+        # exact type: JSON true/false are bools, and floats must not be truncated
+        if any(type(v) is not int for v in (m, n, *(a for r in rows for a in r))):
+            raise FormatError("twist-matrix JSON needs integer m, n and entries")
+        if n != len(rows):
+            raise FormatError(f"n={n} does not match {len(rows)} rows")
+        return cls(m, rows)
 
     def to_json_dict(self) -> dict:
         return {"plat-format": 1, "m": self.m, "n": self.n,

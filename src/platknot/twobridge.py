@@ -26,7 +26,6 @@ from .errors import (
 from .plat import TwistMatrix, validate
 
 __all__ = [
-    "Rational",
     "cf_evaluate",
     "cf_reconstruct",
     "schubert_pair",
@@ -34,8 +33,6 @@ __all__ = [
     "left_boundary_coeffs",
     "right_boundary_coeffs",
 ]
-
-Rational = Fraction
 
 
 def cf_evaluate(coeffs: Sequence[int]) -> Fraction:

@@ -152,10 +152,8 @@ def test_criterion_4_schubert_reversal_and_separation():
 
 
 def test_criterion_5_hilden_invariance():
-    # base words are sampled with connected closures: on a split diagram the
-    # factor-product determinant is not move-invariant (a move can bridge
-    # split factors, where Fox calculus honestly reports 0), and the
-    # determinant contract only covers connected diagrams anyway
+    # bases are drawn with connected closures: a split closure has determinant
+    # 0 before and after any move, so it would test the determinant weakly
     rng = random.Random(505)
     gens = hilden_generators(8)
     assert {g.kind for g in gens} == {"h1", "h2", "h3", "h4"}
@@ -202,16 +200,15 @@ def test_criterion_7_invariant_oracle_self_consistency():
     for a in (1, -1):
         d = closure(TwistMatrix(2, [(a,)]))
         assert kauffman_bracket(d) == LaurentPoly.monomial(-1, 3 * d.writhe)
-    done = 0
-    for mat in criterion_7_plats():
+    plats = criterion_7_plats()
+    split = 0
+    for mat in plats:
         d = closure(mat)
-        if not diagram_is_connected(d):
-            continue
-        done += 1
+        split += not diagram_is_connected(d)
         assert determinant(d) == jones_at_minus_one(jones(d)), mat
-    assert done == 100
-    report("criterion 7: determinant == |Jones(-1)| on 100 random connected "
-           "diagrams; bracket normalizations exact", True)
+    assert len(plats) == 135 and split == 35
+    report(f"criterion 7: determinant == |Jones(-1)| on {len(plats)} random "
+           f"diagrams, {split} of them split; bracket normalizations exact", True)
 
 
 def test_criterion_8_example_golden():

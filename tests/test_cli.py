@@ -156,6 +156,50 @@ class TestHilden:
         assert "same_coset" in capsys.readouterr().out
 
 
+EXAMPLE_TEXT = "4 3\n-4 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n"
+BAD_JSON = ['{"m": "x", "rows": [[3]]}', '{"m": 2, "rows": [["a"]]}',
+            '{"m": 2, "n": "z", "rows": [[3]]}', '{"m": 2, "rows": [[1.5]]}',
+            '{"m": 2, "rows": [[true]]}', '{"m": false, "rows": [[3]]}']
+# (arguments, contents of FILE or None, what stderr must name)
+REJECTED = (
+    [(["invariants", "FILE"], text, "FormatError") for text in BAD_JSON]
+    + [(["hilden", "random", "--strands", k, "--length", "2"], None, "IndexRange")
+       for k in ("1", "0", "3", "-4")]
+    + [(["invariants", "FILE", "--jones-cap", v], EXAMPLE_TEXT, "--jones-cap")
+       for v in ("60", "-1", "x")]
+    + [(["hilden", "apply", "FILE", "--jones-cap", "23"], EXAMPLE_TEXT, "--jones-cap")]
+    + [(["hilden", "random", "--strands", "8", "--length", v], None, "--length")
+       for v in ("-3", "1001")]
+    + [(["hilden", "coset", "FILE", "FILE", "--samples", v], EXAMPLE_TEXT, "--samples")
+       for v in ("-1", "10001")]
+)
+
+
+@pytest.mark.parametrize("argv, text, named", REJECTED,
+                         ids=[" ".join(argv) + (f" {text}" if text in BAD_JSON else "")
+                              for argv, text, _ in REJECTED])
+def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv, text, named):
+    # any exception other than argparse's SystemExit escapes main and fails here
+    if text is not None:
+        path = write_plat(tmp_path, "input.plat", text)
+        argv = [path if a == "FILE" else a for a in argv]
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == 2 and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["2 1\n3\n", EXAMPLE_TEXT])
+def test_hilden_apply_json_keys_are_the_invariants_keys_plus_word(tmp_path, capsys, text):
+    f = write_plat(tmp_path, "t.plat", text)
+    assert main(["--json", "invariants", f]) == 0
+    inv_keys = set(json.loads(capsys.readouterr().out))
+    assert main(["--json", "hilden", "apply", f, "--left", "h1@1"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == inv_keys | {"strands", "word"}
+
+
 class TestSpheres:
     def test_listing(self, capsys):
         assert main(["spheres", "--m", "4", "--n", "3"]) == 0

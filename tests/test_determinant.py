@@ -15,7 +15,6 @@ from platknot.canonical import ELEMENTS, apply, canonical_form
 from platknot.hilden import random_hilden_element
 from platknot.invariants import (
     _bareiss_abs_det,
-    _split_factors,
     _wirtinger_minor,
     determinant,
     jones,
@@ -24,19 +23,16 @@ from platknot.invariants import (
 
 from conftest import random_matrix
 from test_acceptance import EXAMPLE, criterion_2_plats, criterion_7_plats, criterion_9_variants
-from test_invariants import diagram_is_connected
 
 
 def dense_determinant(d) -> int:
-    """Split-factor product of Bareiss on each factor's full dense minor."""
-    result = 1
-    for crossings in _split_factors(d.quadruples):
-        rows = _wirtinger_minor(d.quadruples, crossings)
-        if rows is None:
-            return 0
-        result *= _bareiss_abs_det([[row.get(j, 0) for j in range(len(rows))]
-                                    for row in rows])
-    return result
+    """Bareiss on the whole dense Wirtinger minor (free loops as ``determinant``)."""
+    if d.free_loops:
+        return 1 if d.free_loops == 1 and not d.quadruples else 0
+    rows = _wirtinger_minor(d.quadruples)
+    if rows is None:
+        return 0
+    return _bareiss_abs_det([[row.get(j, 0) for j in range(len(rows))] for row in rows])
 
 
 def criterion_plats() -> list[TwistMatrix]:
@@ -68,7 +64,7 @@ def test_sparse_matches_dense_on_criterion_plats_and_translates():
     for d in diagrams:
         det = determinant(d)
         assert det == dense_determinant(d), d.pd_lines()
-        if d.crossing_count <= 14 and diagram_is_connected(d):
+        if d.crossing_count <= 14:
             assert det == jones_at_minus_one(jones(d)), d.pd_lines()
             jones_checked += 1
     assert len(diagrams) > 2000 and jones_checked > 300
@@ -76,10 +72,10 @@ def test_sparse_matches_dense_on_criterion_plats_and_translates():
 
 EDGE_CASES = {
     "unknot": (word_from_syllables(2, []), 1),
-    "free loops": (word_from_syllables(4, []), 1),
-    "kink beside a free loop": (word_from_syllables(4, [(1, 1)]), 1),
+    "free loops": (word_from_syllables(4, []), 0),
+    "kink beside a free loop": (word_from_syllables(4, [(1, 1)]), 0),
     "Hopf link": (word_from_syllables(4, [(2, 2)]), 2),
-    "split trefoils": (word_from_syllables(8, [(2, 3), (6, 3)]), 9),
+    "split trefoils": (word_from_syllables(8, [(2, 3), (6, 3)]), 0),
     "entirely-over circle": (word_from_syllables(4, [(2, 1), (2, -1)]), 0),
 }
 
@@ -108,7 +104,10 @@ def braid_words(draw) -> BraidWord:
 @example(EDGE_CASES["entirely-over circle"][0], PlatClosureStyle.STANDARD)
 def test_sparse_matches_dense_on_braid_closures(word, style):
     d = braid_closure(word, style)
-    assert determinant(d) == dense_determinant(d)
+    det = determinant(d)
+    assert det == dense_determinant(d)
+    if d.crossing_count <= 14:
+        assert det == jones_at_minus_one(jones(d))
 
 
 def test_large_plat_rotations_agree():

@@ -79,8 +79,7 @@ class TestApplyMoves:
         assert syllables(out) == [(1, 1), (3, 1)]
 
     def test_closure_invariants_preserved(self):
-        # connected closure: the determinant is then the honest link
-        # invariant, unchanged no matter how moves rearrange the diagram
+        # connected closure, so the determinant is nonzero and a wrong one shows
         rng = random.Random(17)
         base = word_from_syllables(8, [(2, -3), (4, 2), (6, 1), (3, 1), (5, -1), (7, 1)])
         d0 = braid_closure(base)
@@ -97,10 +96,13 @@ class TestApplyMoves:
     def test_component_count_preserved_even_for_split_closures(self):
         rng = random.Random(19)
         base = word_from_syllables(8, [(2, -3), (5, 2)])  # split diagram
-        comp0 = braid_closure(base).n_components
+        d0 = braid_closure(base)
+        assert determinant(d0) == 0
         for _ in range(20):
             mv = hilden_generators(8)[rng.randrange(13)]
-            assert braid_closure(apply_moves(base, left=[mv])).n_components == comp0
+            d = braid_closure(apply_moves(base, left=[mv]))
+            assert d.n_components == d0.n_components
+            assert determinant(d) == 0
 
 
 class TestRandomElement:
