@@ -7,7 +7,7 @@ Submodules:
 - ``canonical``  rotation action, canonical representative, equivalence
 - ``twobridge``  continued fractions with |a_i| >= 3, Schubert pairs
 - ``hilden``     Hilden moves and the double-coset falsification harness
-- ``invariants`` determinant, Kauffman bracket, Jones (the brute-force oracle)
+- ``invariants`` bridge-colouring determinant; its oracles: Wirtinger, bracket, Jones
 - ``spheres``    vertical-sphere combinatorics and maximal collections
 - ``cli``        the ``plat`` command
 """

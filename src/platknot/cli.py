@@ -9,6 +9,7 @@ stdout to JSON lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -119,15 +120,16 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
-def _print_invariants(args, diagram, head: tuple = ()) -> int:
-    """Print the invariant report of ``diagram`` after the ``(name, value)``
-    fields in ``head``: components, crossings, writhe, determinant and the
-    Jones polynomial, which is skipped above ``--jones-cap`` crossings."""
+def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> int:
+    """Print the invariant report of the ``style`` closure of ``word`` after
+    the ``(name, value)`` fields in ``head``: components, crossings, writhe,
+    determinant and Jones, which is skipped above ``--jones-cap`` crossings."""
+    diagram = braid_closure(word, style)
     fields = [*head,
               ("components", diagram.n_components),
               ("crossings", diagram.crossing_count),
               ("writhe", diagram.writhe),
-              ("determinant", invariants.determinant(diagram))]
+              ("determinant", invariants.closure_determinant(word, style))]
     payload = dict(fields)
     if diagram.crossing_count <= args.jones_cap:
         jv = invariants.jones(diagram, args.jones_cap)
@@ -143,7 +145,7 @@ def _print_invariants(args, diagram, head: tuple = ()) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    return _print_invariants(args, closure(_load_matrix(args.file), _style(args)))
+    return _print_invariants(args, to_braid_word(_load_matrix(args.file)), _style(args))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -197,7 +199,7 @@ def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
 
 
 def _print_word_invariants(args, word) -> int:
-    return _print_invariants(args, braid_closure(word),
+    return _print_invariants(args, word, PlatClosureStyle.STANDARD,
                              (("strands", word.strands), ("word", braidmod.format_word(word))))
 
 
@@ -238,12 +240,14 @@ def _cmd_spheres(args) -> int:
     return 0
 
 
-def _int_in(lo: int, hi: int):
-    """argparse type for an integer in lo..hi, rejected before any work starts."""
+def _int_in(lo: int | None, hi: int):
+    """argparse type for an integer in lo..hi (lo None: at most hi, and the
+    command rejects a value that is too small), checked before any work."""
     def check(text: str) -> int:
         value = int(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
+        if value > hi or (lo is not None and value < lo):
+            bound = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
         return value
     check.__name__ = "int"  # argparse names the type in "invalid int value"
     return check
@@ -256,18 +260,16 @@ def _shared_option(*flags, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
-# Built once: subcommands copy their actions, which parsing never modifies.
-_STYLE = _shared_option("--style", default="standard",
-                        choices=[s.value for s in PlatClosureStyle])
-_JONES_CAP = _shared_option(
-    "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
-    help="largest crossing count whose Jones polynomial is computed, "
-         f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
-_FORCE = _shared_option("--force", action="store_true",
-                        help="normalize even outside the uniqueness hypotheses")
-
-
+@functools.cache  # built by the first main() call; parsing never modifies it
 def build_parser() -> argparse.ArgumentParser:
+    style = _shared_option("--style", default="standard",
+                           choices=[s.value for s in PlatClosureStyle])
+    jones_cap = _shared_option(
+        "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
+        help="largest crossing count whose Jones polynomial is computed, "
+             f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
+    force = _shared_option("--force", action="store_true",
+                           help="normalize even outside the uniqueness hypotheses")
     parser = argparse.ArgumentParser(
         prog="plat",
         description="Highly twisted plat diagrams: canonical forms, invariants, "
@@ -283,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", _cmd_validate, "check the row-length pattern of a matrix file")
     p.add_argument("file")
 
-    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)", [_FORCE])
+    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)", [force])
     p.add_argument("file")
 
-    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no)", [_FORCE])
+    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no)", [force])
     p.add_argument("file1")
     p.add_argument("file2")
 
@@ -298,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_ in (("pd", _cmd_pd, "PD code of the plat closure"),
                             ("gauss", _cmd_gauss, "Gauss code of the plat closure")):
-        p = add(name, fn, help_, [_STYLE])
+        p = add(name, fn, help_, [style])
         p.add_argument("file")
 
     p = add("invariants", _cmd_invariants, "components, writhe, determinant, Jones",
-            [_STYLE, _JONES_CAP])
+            [style, jones_cap])
     p.add_argument("file")
 
     p = add("twobridge", _cmd_twobridge, "Schubert pair / expansion reconstruction")
@@ -315,15 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("hilden", help="Hilden moves and double-coset probes")
     hsub = ph.add_subparsers(dest="subcommand", required=True)
     p = hsub.add_parser("apply", help="multiply the standard word by Hilden moves",
-                        parents=[_JONES_CAP])
+                        parents=[jones_cap])
     p.set_defaults(fn=_cmd_hilden_apply)
     p.add_argument("file")
     p.add_argument("--left", help='moves multiplied on the left, e.g. "h2@1,h1@3"')
     p.add_argument("--right", help="moves multiplied on the right")
     p = hsub.add_parser("random", help="seeded random element of the Hilden subgroup",
-                        parents=[_JONES_CAP])
+                        parents=[jones_cap])
     p.set_defaults(fn=_cmd_hilden_random)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_int_in(None, 256), required=True,
+                   help="even strand count, at most 256")
     p.add_argument("--length", type=_int_in(0, 1000), required=True,
                    help="number of generators multiplied, 0..1000")
     p.add_argument("--seed", type=int, default=0)
@@ -336,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("spheres", _cmd_spheres, "canonical maximal collection of vertical spheres")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_int_in(None, 100), required=True,
+                   help="plat width, at most 100")
+    p.add_argument("--n", type=_int_in(None, 101), required=True,
+                   help="plat height, at most 101")
 
     return parser
 

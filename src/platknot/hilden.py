@@ -17,8 +17,8 @@ from typing import Sequence
 from .braid import BraidWord, compose, free_reduce, inverse, word_from_syllables
 from .canonical import equivalent
 from .errors import IndexParity, IndexRange
-from .invariants import determinant
-from .plat import TwistMatrix, braid_closure, to_braid_word
+from .invariants import closure_determinant
+from .plat import TwistMatrix, closure_components, to_braid_word
 
 __all__ = [
     "HildenMove",
@@ -97,15 +97,16 @@ def hilden_generators(strands: int) -> list[HildenMove]:
 def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     """Product of ``length`` uniformly chosen generators or their inverses,
     deterministic in ``seed``."""
+    BraidWord(strands)  # rejects a bad strand count before anything is drawn
     rng = random.Random(seed)
     gens = hilden_generators(strands)
-    word = BraidWord(strands)
+    letters = []
     for _ in range(length):
         g = expand(gens[rng.randrange(len(gens))], strands)
         if rng.randrange(2):
             g = inverse(g)
-        word = compose(word, g)
-    return word
+        letters.extend(g.letters)
+    return BraidWord(strands, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ class CosetReport:
 
 
 def _closure_invariants(word: BraidWord) -> dict:
-    diagram = braid_closure(word)
-    return {"components": diagram.n_components, "determinant": determinant(diagram)}
+    return {"components": closure_components(word), "determinant": closure_determinant(word)}
 
 
 def _differences(inv1: dict, inv2: dict) -> dict:

@@ -1,25 +1,27 @@
-"""Desk-scale diagram invariants used as the verification oracle.
+"""Diagram invariants and the oracles that check them, in exact integer
+arithmetic: Laurent polynomials with integer coefficients, a brute-force
+Kauffman bracket over all 2^c smoothing states (capped, default 22
+crossings), the Jones polynomial by writhe normalization, and the link
+determinant.
 
-Everything here is exact integer arithmetic: Laurent polynomials with
-integer coefficients, a brute-force Kauffman bracket over all 2^c
-smoothing states (capped, default 22 crossings), the Jones polynomial by
-writhe normalization, and the knot/link determinant from the sparse
-Wirtinger presentation at t = -1, eliminated on +-1 pivots with
-fraction-free (Bareiss) elimination of the small dense core that remains.
-
-The bracket and the determinant are deliberately independent computations
-of overlapping information: |jones(t=-1)| must reproduce the determinant
-on every diagram, split ones included (both are 0 there), and that
-cross-check is what lets the rest of the package trust its sign and
-orientation conventions.
+The program's determinant is :func:`closure_determinant`, a Fox-colouring
+sweep over a braid word's m bridges.  Its oracle, :func:`determinant`,
+eliminates the sparse Wirtinger minor of any diagram at t = -1 on +-1
+pivots, with fraction-free (Bareiss) elimination of the small dense core
+that remains.  The bracket and the Wirtinger determinant are deliberately
+independent computations of overlapping information: |jones(t=-1)| must
+reproduce the determinant on every diagram, split ones included (both are
+0 there), and that cross-check is what lets the rest of the package trust
+its sign and orientation conventions.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from .braid import BraidWord, syllables
 from .errors import InternalError, TooManyCrossings
-from .plat import PlanarDiagram
+from .plat import PlanarDiagram, PlatClosureStyle, _closure_pairs
 
 __all__ = [
     "LaurentPoly",
@@ -29,6 +31,7 @@ __all__ = [
     "jones_canonical",
     "jones_at_minus_one",
     "max_writhe",
+    "closure_determinant",
     "determinant",
     "BRACKET_CAP",
 ]
@@ -331,11 +334,36 @@ def _bareiss_abs_det(mat: list[list[int]]) -> int:
     return abs(m[n - 1][n - 1])
 
 
+def closure_determinant(word: BraidWord,
+                        style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
+    """Link determinant of the ``style`` plat closure of ``word``, from Fox
+    colourings of its m bridges; no diagram is built.
+
+    Top bridge j gets the colour e_j; a run sigma_i^a maps the colours (x, y)
+    at positions i, i+1 to (x + a*d, y + a*d), d = x - y, in closed form.
+    Each bottom bridge (p, q) gives the row col[p] - col[q], whose entries
+    sum to 0, and |det| of the first minor is the determinant (the Burau
+    matrix at t = -1): 0 on split links, 1 on a lone circle.
+    """
+    strands, bridges = word.strands, word.strands // 2
+    col: list[list[int]] = [[]] * (strands + 1)
+    for j, (p, q) in enumerate(_closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)):
+        col[p] = col[q] = [int(k == j) for k in range(bridges)]
+    for i, a in syllables(word):
+        x, y = col[i], col[i + 1]
+        d = [a * (u - v) for u, v in zip(x, y)]
+        col[i], col[i + 1] = [u + w for u, w in zip(x, d)], [v + w for v, w in zip(y, d)]
+    pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
+    return _bareiss_abs_det([[u - v for u, v in zip(col[p][:-1], col[q][:-1])]
+                             for p, q in pairs[:-1]])
+
+
 def determinant(diagram: PlanarDiagram) -> int:
     """Link determinant |Delta(-1)| via Fox calculus on the Wirtinger
     presentation: one relation per crossing with integer stencil
     (over, under_in, under_out) = (2, -1, -1), one relation and one
-    generator deleted.
+    generator deleted.  The oracle of :func:`closure_determinant`, which
+    the program reports; it works on any PD code.
 
     The minor is eliminated on +-1 pivots: the first live row with a unit
     entry clears that entry's column, choosing the unit column shared by the

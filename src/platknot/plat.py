@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 from .braid import BraidWord, word_from_syllables
 from . import braid as _braid
@@ -37,6 +38,7 @@ __all__ = [
     "braid_closure",
     "closure",
     "component_count",
+    "closure_components",
 ]
 
 
@@ -50,15 +52,20 @@ class TwistMatrix:
     """Coefficient matrix of a plat in standard form.
 
     Construction does not enforce the row-length pattern; call
-    :func:`validate` (all operations do).  Entries may be zero: the
-    invariant oracle runs on small, non-highly-twisted diagrams.
+    :func:`validate` (all operations do).  Entries must be ``int`` (anything
+    else raises FormatError) and may be zero: the invariant oracle runs on
+    small, non-highly-twisted diagrams.
     """
 
     m: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(a) for a in r) for r in self.rows))
+        rows = tuple(map(tuple, self.rows))
+        # exact type: bools are ints to Python, and floats must not be truncated
+        if set(map(type, chain.from_iterable(rows))) - {int}:
+            raise FormatError("twist-matrix entries must be integers")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -105,9 +112,8 @@ class TwistMatrix:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad twist-matrix JSON: {exc}") from None
         n = obj.get("n", len(rows))
-        # exact type: JSON true/false are bools, and floats must not be truncated
-        if any(type(v) is not int for v in (m, n, *(a for r in rows for a in r))):
-            raise FormatError("twist-matrix JSON needs integer m, n and entries")
+        if type(m) is not int or type(n) is not int:  # the entries are checked by cls
+            raise FormatError("twist-matrix JSON needs integer m and n")
         if n != len(rows):
             raise FormatError(f"n={n} does not match {len(rows)} rows")
         return cls(m, rows)
@@ -398,13 +404,18 @@ def closure(mat: TwistMatrix, style: PlatClosureStyle = PlatClosureStyle.STANDAR
 
 
 def component_count(mat: TwistMatrix, style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
-    """Number of link components, via the pairing/permutation walk.
+    """Number of link components of the plat closure of ``mat``."""
+    return closure_components(to_braid_word(mat), style)
+
+
+def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
+    """Number of link components of the plat closure of ``word``, via the
+    pairing/permutation walk.
 
     Independent of the diagram traversal in :func:`braid_closure`: walk
     top pairing -> braid permutation -> bottom pairing and count orbits.
     Each component is covered by exactly two orbits (one per direction).
     """
-    word = to_braid_word(mat)
     strands = word.strands
     perm = _braid.permutation(word)
     inv = [0] * (strands + 1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import platknot
 from platknot.cli import main
 
 
@@ -172,6 +177,12 @@ REJECTED = (
        for v in ("-3", "1001")]
     + [(["hilden", "coset", "FILE", "FILE", "--samples", v], EXAMPLE_TEXT, "--samples")
        for v in ("-1", "10001")]
+    + [(["hilden", "random", "--strands", k, "--length", "2"], None, "--strands")
+       for k in ("258", "1024")]
+    + [(["spheres", "--m", "101", "--n", "3"], None, "--m"),
+       (["spheres", "--m", "4", "--n", "103"], None, "--n"),
+       (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
+       (["spheres", "--m", "100", "--n", "2"], None, "DimensionsOutOfTheoremRange")]
 )
 
 
@@ -198,6 +209,28 @@ def test_hilden_apply_json_keys_are_the_invariants_keys_plus_word(tmp_path, caps
     inv_keys = set(json.loads(capsys.readouterr().out))
     assert main(["--json", "hilden", "apply", f, "--left", "h1@1"]) == 0
     assert set(json.loads(capsys.readouterr().out)) == inv_keys | {"strands", "word"}
+
+
+def test_consecutive_calls_share_no_options(tmp_path, capsys):
+    f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
+    assert main(["--json", "invariants", f]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["invariants", f]) == 0
+    assert capsys.readouterr().out.startswith("components:")
+    outs = []
+    for argv in (["--style", "even"], [], ["--style", "standard"]):
+        assert main(["invariants", f, *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] != outs[0]
+
+
+def test_import_platknot_builds_no_parser():
+    code = ("import sys, platknot; "
+            "print(sorted({'argparse', 'platknot.cli'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(platknot.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSpheres:

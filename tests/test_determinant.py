@@ -1,8 +1,10 @@
-"""The sparse determinant against the dense Bareiss oracle.
+"""The determinant's fast paths against their oracles.
 
 ``determinant`` eliminates the Wirtinger minor on +-1 pivots and hands only
 the leftover core to Bareiss elimination; these tests run Bareiss on the
 whole dense minor of the same diagram and require the same integer.
+``closure_determinant`` colours the m bridges of a braid word's plat closure
+and never builds a diagram; it must equal ``determinant`` of the closure.
 """
 
 import random
@@ -16,10 +18,12 @@ from platknot.hilden import random_hilden_element
 from platknot.invariants import (
     _bareiss_abs_det,
     _wirtinger_minor,
+    closure_determinant,
     determinant,
     jones,
     jones_at_minus_one,
 )
+from platknot.plat import closure_components
 
 from conftest import random_matrix
 from test_acceptance import EXAMPLE, criterion_2_plats, criterion_7_plats, criterion_9_variants
@@ -70,6 +74,21 @@ def test_sparse_matches_dense_on_criterion_plats_and_translates():
     assert len(diagrams) > 2000 and jones_checked > 300
 
 
+def test_colouring_matches_wirtinger_on_criterion_plats_and_translates():
+    rng = random.Random(3)
+    closures = []
+    for mat in criterion_plats():
+        word = to_braid_word(mat)
+        closures.extend((word, style) for style in PlatClosureStyle)
+        closures.extend((w, PlatClosureStyle.STANDARD) for w in hilden_translates(mat, rng, 2))
+    zeros = 0
+    for word, style in closures:
+        det = closure_determinant(word, style)
+        assert det == determinant(braid_closure(word, style)), (word, style)
+        zeros += det == 0
+    assert len(closures) > 2000 and zeros > 500
+
+
 EDGE_CASES = {
     "unknot": (word_from_syllables(2, []), 1),
     "free loops": (word_from_syllables(4, []), 0),
@@ -83,6 +102,20 @@ EDGE_CASES = {
 def test_edge_case_values():
     for name, (word, expected) in EDGE_CASES.items():
         assert determinant(braid_closure(word)) == expected, name
+        for style in PlatClosureStyle:
+            assert closure_determinant(word, style) == determinant(braid_closure(word, style)), name
+
+
+def test_colouring_matches_wirtinger_on_256_strands():
+    h = random_hilden_element(256, 1000, 256)
+    trefoils = word_from_syllables(256, [(i, 3) for i in range(2, 256, 2)])
+    translate = compose(compose(random_hilden_element(256, 500, 1), trefoils),
+                        random_hilden_element(256, 500, 2))
+    # a Hilden element closes to the 128-component unlink; the translate to
+    # the connected sum of 127 trefoils
+    for word, components, det in ((h, 128, 0), (translate, 1, 3 ** 127)):
+        assert closure_components(word) == components
+        assert closure_determinant(word) == determinant(braid_closure(word)) == det
 
 
 @st.composite
@@ -105,7 +138,8 @@ def braid_words(draw) -> BraidWord:
 def test_sparse_matches_dense_on_braid_closures(word, style):
     d = braid_closure(word, style)
     det = determinant(d)
-    assert det == dense_determinant(d)
+    assert det == dense_determinant(d) == closure_determinant(word, style)
+    assert closure_components(word, style) == d.n_components
     if d.crossing_count <= 14:
         assert det == jones_at_minus_one(jones(d))
 

@@ -157,3 +157,8 @@ class TestTextFormat:
 
     def test_json_round_trip(self, example_matrix):
         assert TwistMatrix.from_json_dict(example_matrix.to_json_dict()) == example_matrix
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "3", None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(FormatError):
+            TwistMatrix(2, [(entry,)])
