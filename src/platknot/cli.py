@@ -129,7 +129,7 @@ def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> 
               ("components", diagram.n_components),
               ("crossings", diagram.crossing_count),
               ("writhe", diagram.writhe),
-              ("determinant", invariants.closure_determinant(word, style))]
+              ("determinant", invariants.determinant(diagram))]
     payload = dict(fields)
     if diagram.crossing_count <= args.jones_cap:
         jv = invariants.jones(diagram, args.jones_cap)

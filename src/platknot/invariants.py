@@ -4,10 +4,11 @@ Kauffman bracket over all 2^c smoothing states (capped, default 22
 crossings), the Jones polynomial by writhe normalization, and the link
 determinant.
 
-The program's determinant is :func:`closure_determinant`, a Fox-colouring
-sweep over a braid word's m bridges.  Its oracle, :func:`determinant`,
-eliminates the sparse Wirtinger minor of any diagram at t = -1 on +-1
-pivots, with fraction-free (Bareiss) elimination of the small dense core
+The coset harness takes its determinants from :func:`closure_determinant`,
+a Fox-colouring sweep over a braid word's m bridges, with no diagram built.
+:func:`determinant`, its oracle and the determinant of the CLI report, whose
+diagram is built anyway, eliminates the sparse Wirtinger minor of any
+diagram at t = -1 on +-1 pivots, with fraction-free (Bareiss) elimination of the small dense core
 that remains.  The bracket and the Wirtinger determinant are deliberately
 independent computations of overlapping information: |jones(t=-1)| must
 reproduce the determinant on every diagram, split ones included (both are
@@ -362,8 +363,8 @@ def determinant(diagram: PlanarDiagram) -> int:
     """Link determinant |Delta(-1)| via Fox calculus on the Wirtinger
     presentation: one relation per crossing with integer stencil
     (over, under_in, under_out) = (2, -1, -1), one relation and one
-    generator deleted.  The oracle of :func:`closure_determinant`, which
-    the program reports; it works on any PD code.
+    generator deleted.  The oracle of :func:`closure_determinant`, and the
+    determinant of the CLI report; it works on any PD code.
 
     The minor is eliminated on +-1 pivots: the first live row with a unit
     entry clears that entry's column, choosing the unit column shared by the
