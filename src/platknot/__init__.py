@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``braid``      expanded Artin-generator words, free reduction, permutations
+- ``braid``      Artin-generator words as twist runs, free reduction, permutations
 - ``plat``       twist matrices, braid expansion, plat closures, PD/Gauss codes
 - ``canonical``  rotation action, canonical representative, equivalence
 - ``twobridge``  continued fractions with |a_i| >= 3, Schubert pairs

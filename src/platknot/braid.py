@@ -1,10 +1,11 @@
 """Words in the Artin generators of the braid group on 2m strands.
 
 The alphabet for the group on ``2m`` strands is sigma_1 .. sigma_{2m-1},
-each letter carrying an exponent of +1 or -1.  Words are stored fully
-expanded (one letter per crossing); :func:`syllables` gives a run-length
-view for display.  Letters act top to bottom as drawn in braid diagrams,
-and ``compose(a, b)`` stacks ``a`` above ``b``.
+each letter carrying an exponent of +1 or -1.  Words are stored as maximal
+same-sign runs ``(index, exponent)``, so every operation here costs
+O(runs) whatever the exponents; only the bounded ``letters`` view expands
+crossings.  Letters act top to bottom as drawn in braid diagrams, and
+``compose(a, b)`` stacks ``a`` above ``b``.
 
 Only free reduction is performed here; braid relations are never applied.
 Equivalence questions are decided at the twist-matrix level.
@@ -13,124 +14,132 @@ Equivalence questions are decided at the twist-matrix level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import FormatError, IndexRange, StrandMismatch
+from .errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings
 
 __all__ = [
+    "CROSSING_BUDGET",
     "BraidLetter",
     "BraidWord",
     "compose",
     "inverse",
     "free_reduce",
     "permutation",
-    "word_from_syllables",
-    "syllables",
     "parse_word",
     "format_word",
+    "word_json",
 ]
 
+CROSSING_BUDGET = 10_000  # most crossings a word may expand to (letters, diagrams)
 
-@dataclass(frozen=True)
-class BraidLetter:
-    """A single signed generator sigma_index^sign."""
+
+class BraidLetter(NamedTuple):
+    """A single signed generator sigma_index^sign, as the letter view yields it."""
 
     index: int
     sign: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise IndexRange(f"sign must be +1 or -1, got {self.sign}")
-        if self.index < 1:
-            raise IndexRange(f"generator index must be >= 1, got {self.index}")
-
-    def inverse(self) -> "BraidLetter":
-        return BraidLetter(self.index, -self.sign)
-
 
 @dataclass(frozen=True)
 class BraidWord:
-    """An expanded word on ``strands`` strands; the empty word is identity."""
+    """A word on ``strands`` strands as ``(index, exponent)`` runs, checked
+    and normalised on construction: zero exponents dropped, adjacent
+    same-sign runs of one generator merged, nothing cancelled.  So words are
+    equal exactly when their letters are, and ``len`` counts crossings."""
 
     strands: int
-    letters: tuple[BraidLetter, ...] = field(default_factory=tuple)
+    runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.strands < 2 or self.strands % 2 != 0:
-            raise IndexRange(f"strands must be even and >= 2, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for lt in self.letters:
-            if not 1 <= lt.index <= self.strands - 1:
-                raise IndexRange(
-                    f"generator s{lt.index} out of range for {self.strands} strands")
+        strands = self.strands
+        if type(strands) is not int or strands < 2 or strands % 2:
+            raise IndexRange(f"strands must be an even int >= 2, got {strands!r}")
+        out: list[tuple[int, int]] = []
+        for index, exp in self.runs:
+            if type(index) is not int or type(exp) is not int or not 0 < index < strands:
+                raise IndexRange(f"run {(index, exp)!r} is not an int generator index in "
+                                 f"1..{strands - 1} with an int exponent")
+            if not exp:
+                continue
+            if out and out[-1][0] == index and (out[-1][1] > 0) == (exp > 0):
+                out[-1] = (index, out[-1][1] + exp)
+            else:
+                out.append((index, exp))
+        object.__setattr__(self, "runs", tuple(out))
+
+    @classmethod
+    def _normal(cls, strands: int, runs: tuple[tuple[int, int], ...]) -> "BraidWord":
+        """A word from runs that are already checked and normalised."""
+        word = object.__new__(cls)
+        word.__dict__.update(strands=strands, runs=runs)
+        return word
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(exp) for _, exp in self.runs)
+
+    @property
+    def letters(self) -> tuple[BraidLetter, ...]:
+        """One letter per crossing; TooManyCrossings above CROSSING_BUDGET,
+        checked before anything is expanded."""
+        if len(self) > CROSSING_BUDGET:
+            raise TooManyCrossings(len(self), CROSSING_BUDGET)
+        out: list[BraidLetter] = []
+        for index, exp in self.runs:
+            out.extend([BraidLetter(index, 1 if exp > 0 else -1)] * abs(exp))
+        return tuple(out)
 
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Concatenate two words (``a`` stacked above ``b``); no reduction."""
+    """Concatenate two words (``a`` stacked above ``b``); same-sign runs merge
+    at the seam, nothing cancels."""
     if a.strands != b.strands:
         raise StrandMismatch(f"{a.strands} strands vs {b.strands} strands")
-    return BraidWord(a.strands, a.letters + b.letters)
+    ra, rb = a.runs, b.runs
+    if ra and rb and ra[-1][0] == rb[0][0] and (ra[-1][1] > 0) == (rb[0][1] > 0):
+        return BraidWord._normal(a.strands, ra[:-1] + ((rb[0][0], ra[-1][1] + rb[0][1]),) + rb[1:])
+    return BraidWord._normal(a.strands, ra + rb)
 
 
 def inverse(a: BraidWord) -> BraidWord:
-    """Reverse the letter order and negate every sign."""
-    return BraidWord(a.strands, tuple(lt.inverse() for lt in reversed(a.letters)))
+    """Reverse the run order and negate every exponent."""
+    return BraidWord._normal(a.strands, tuple((i, -e) for i, e in reversed(a.runs)))
 
 
 def free_reduce(a: BraidWord) -> BraidWord:
     """Delete adjacent cancelling pairs sigma_i^+1 sigma_i^-1 until none remain.
 
     The result is independent of deletion order, so one left-to-right stack
-    pass suffices.
+    pass over the runs suffices: adjacent runs on the stack never share a
+    generator, so a run only ever combines with the top one.
     """
-    out: list[BraidLetter] = []
-    for lt in a.letters:
-        if out and out[-1].index == lt.index and out[-1].sign == -lt.sign:
-            out.pop()
-        else:
-            out.append(lt)
-    return BraidWord(a.strands, tuple(out))
+    out: list[tuple[int, int]] = []
+    for index, exp in a.runs:
+        if out and out[-1][0] == index:
+            exp += out.pop()[1]
+            if not exp:
+                continue
+        out.append((index, exp))
+    return BraidWord._normal(a.strands, tuple(out))
 
 
 def permutation(a: BraidWord) -> tuple[int, ...]:
     """Image of each top endpoint under the braid, as a tuple p with
     p[i-1] = bottom position of the strand starting at top position i.
 
-    Every letter acts as the transposition (i, i+1) regardless of sign.
-    Under this convention permutation(compose(a, b)) == perm(b) o perm(a).
+    Every letter acts as the transposition (i, i+1) regardless of sign, so
+    only runs of odd exponent swap.  Under this convention
+    permutation(compose(a, b)) == perm(b) o perm(a).
     """
     cur = list(range(a.strands + 1))  # cur[pos] = origin of strand now at pos
-    for lt in a.letters:
-        i = lt.index
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    for i, exp in a.runs:
+        if exp % 2:
+            cur[i], cur[i + 1] = cur[i + 1], cur[i]
     out = [0] * a.strands
     for pos in range(1, a.strands + 1):
         out[cur[pos] - 1] = pos
     return tuple(out)
-
-
-def word_from_syllables(strands: int, runs: Iterable[tuple[int, int]]) -> BraidWord:
-    """Build an expanded word from (generator index, exponent) runs."""
-    letters: list[BraidLetter] = []
-    for index, exp in runs:
-        sign = 1 if exp > 0 else -1
-        letters.extend(BraidLetter(index, sign) for _ in range(abs(exp)))
-    return BraidWord(strands, tuple(letters))
-
-
-def syllables(a: BraidWord) -> list[tuple[int, int]]:
-    """Run-length view: maximal runs of one generator as (index, exponent)."""
-    runs: list[tuple[int, int]] = []
-    for lt in a.letters:
-        if runs and runs[-1][0] == lt.index and (runs[-1][1] > 0) == (lt.sign > 0):
-            runs[-1] = (lt.index, runs[-1][1] + lt.sign)
-        else:
-            runs.append((lt.index, lt.sign))
-    return runs
 
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
@@ -143,21 +152,18 @@ def parse_word(text: str, strands: int) -> BraidWord:
         mt = _TOKEN.match(tok)
         if not mt:
             raise FormatError(f"bad braid token {tok!r}")
-        index = int(mt.group(1))
         exp = int(mt.group(2)) if mt.group(2) is not None else 1
-        if not 1 <= index <= strands - 1:
-            raise IndexRange(
-                f"generator s{index} out of range for {strands} strands")
-        if exp != 0:
-            runs.append((index, exp))
-    return word_from_syllables(strands, runs)
+        runs.append((int(mt.group(1)), exp))
+    return BraidWord(strands, tuple(runs))
 
 
 def format_word(a: BraidWord) -> str:
     """Inverse of :func:`parse_word`; empty word prints as ``(empty)``."""
-    if not a.letters:
+    if not a.runs:
         return "(empty)"
-    parts = []
-    for index, exp in syllables(a):
-        parts.append(f"s{index}" if exp == 1 else f"s{index}^{exp}")
-    return " ".join(parts)
+    return " ".join(f"s{index}" if exp == 1 else f"s{index}^{exp}" for index, exp in a.runs)
+
+
+def word_json(a: BraidWord) -> dict:
+    """JSON form: the strand count and one ``[index, sign]`` per letter."""
+    return {"strands": a.strands, "word": [list(lt) for lt in a.letters]}

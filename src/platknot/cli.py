@@ -89,10 +89,7 @@ def _cmd_symmetries(args) -> int:
 def _cmd_braid(args) -> int:
     mat = _load_matrix(args.file)
     word = to_braid_word(mat)
-    _emit(args,
-          {"strands": word.strands,
-           "word": [[lt.index, lt.sign] for lt in word.letters]},
-          f"{word.strands} strands: {braidmod.format_word(word)}")
+    _emit(args, braidmod.word_json(word), f"{word.strands} strands: {braidmod.format_word(word)}")
     return 0
 
 
@@ -185,9 +182,15 @@ def _cmd_twobridge(args) -> int:
     return 0
 
 
+MAX_MOVES = 1000  # per side of `hilden apply`, like `hilden random --length`
+
+
 def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
+    tokens = (text or "").replace(",", " ").split()
+    if len(tokens) > MAX_MOVES:
+        raise FormatError(f"--{side} takes at most {MAX_MOVES} moves, got {len(tokens)}")
     moves = []
-    for tok in (text or "").replace(",", " ").split():
+    for tok in tokens:
         if "@" not in tok:
             raise FormatError(f"bad Hilden move {tok!r}, expected kind@index")
         kind, _, idx = tok.partition("@")
@@ -320,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[jones_cap])
     p.set_defaults(fn=_cmd_hilden_apply)
     p.add_argument("file")
-    p.add_argument("--left", help='moves multiplied on the left, e.g. "h2@1,h1@3"')
-    p.add_argument("--right", help="moves multiplied on the right")
+    p.add_argument("--left",
+                   help=f'moves multiplied on the left, at most {MAX_MOVES}, e.g. "h2@1,h1@3"')
+    p.add_argument("--right", help=f"moves multiplied on the right, at most {MAX_MOVES}")
     p = hsub.add_parser("random", help="seeded random element of the Hilden subgroup",
                         parents=[jones_cap])
     p.set_defaults(fn=_cmd_hilden_random)

@@ -67,7 +67,7 @@ class NotRepresentable(PlatError):
 
 
 class TooManyCrossings(PlatError):
-    """Diagram exceeds the state-sum crossing cap."""
+    """A word or diagram exceeds a crossing cap (state sum, or crossing budget)."""
 
     def __init__(self, crossings: int, cap: int):
         self.crossings = crossings

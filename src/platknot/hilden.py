@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braid import BraidWord, compose, free_reduce, inverse, word_from_syllables
+from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import equivalent
 from .errors import IndexParity, IndexRange
 from .invariants import closure_determinant
@@ -63,50 +63,54 @@ def expand(move: HildenMove, strands: int) -> BraidWord:
     if not 1 <= i <= strands - 1:
         raise IndexRange(f"index {i} out of range on {strands} strands")
     if move.kind == "h1":
-        return word_from_syllables(strands, [(i, 1)])
+        return BraidWord(strands, ((i, 1),))
     if i == strands - 1:
         raise IndexRange(f"{move.kind} needs i != {strands - 1} on {strands} strands")
     runs = {
-        "h2": [(i + 1, 1), (i + 2, 1), (i, 1), (i + 1, 1)],
-        "h3": [(i + 1, 1), (i, 1), (i + 2, -1), (i + 1, -1)],
-        "h4": [(i + 1, -1), (i, -1), (i + 2, 1), (i + 1, 1)],
+        "h2": ((i + 1, 1), (i + 2, 1), (i, 1), (i + 1, 1)),
+        "h3": ((i + 1, 1), (i, 1), (i + 2, -1), (i + 1, -1)),
+        "h4": ((i + 1, -1), (i, -1), (i + 2, 1), (i + 1, 1)),
     }[move.kind]
-    return word_from_syllables(strands, runs)
+    return BraidWord(strands, runs)
 
 
 def apply_moves(b: BraidWord,
                 left: Sequence[HildenMove] = (),
                 right: Sequence[HildenMove] = ()) -> BraidWord:
-    """Multiply ``b`` by Hilden generators: (product of left) b (product of right)."""
-    word = b
-    for mv in reversed(left):
-        word = compose(expand(mv, b.strands), word)
-    for mv in right:
-        word = compose(word, expand(mv, b.strands))
-    return word
+    """Multiply ``b`` by Hilden generators: (product of left) b (product of
+    right), built once from the runs of all moves (linear in their number)."""
+    runs = [run for mv in left for run in expand(mv, b.strands).runs]
+    runs.extend(b.runs)
+    runs.extend(run for mv in right for run in expand(mv, b.strands).runs)
+    return BraidWord(b.strands, tuple(runs))
+
+
+def _generator_keys(strands: int) -> list[tuple[str, int]]:
+    """(kind, index) of every legal generator on the given strand count."""
+    return ([("h1", i) for i in range(1, strands, 2)]
+            + [(kind, i) for kind in KINDS[1:] for i in range(1, strands - 1, 2)])
 
 
 def hilden_generators(strands: int) -> list[HildenMove]:
     """All legal generators on the given strand count."""
-    gens = [HildenMove("h1", i) for i in range(1, strands, 2)]
-    for kind in ("h2", "h3", "h4"):
-        gens.extend(HildenMove(kind, i) for i in range(1, strands - 1, 2))
-    return gens
+    return [HildenMove(kind, i) for kind, i in _generator_keys(strands)]
 
 
 def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     """Product of ``length`` uniformly chosen generators or their inverses,
-    deterministic in ``seed``."""
+    deterministic in ``seed``; each drawn one's runs are built once a call."""
     BraidWord(strands)  # rejects a bad strand count before anything is drawn
     rng = random.Random(seed)
-    gens = hilden_generators(strands)
-    letters = []
+    gens = _generator_keys(strands)
+    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    runs: list[tuple[int, int]] = []
     for _ in range(length):
-        g = expand(gens[rng.randrange(len(gens))], strands)
-        if rng.randrange(2):
-            g = inverse(g)
-        letters.extend(g.letters)
-    return BraidWord(strands, tuple(letters))
+        key = (rng.randrange(len(gens)), rng.randrange(2))
+        if key not in table:
+            g = expand(HildenMove(*gens[key[0]]), strands)
+            table[key] = (inverse(g) if key[1] else g).runs
+        runs.extend(table[key])
+    return BraidWord(strands, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def _differences(inv1: dict, inv2: dict) -> dict:
 
 def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
                       samples: int = 20, seed: int = 0) -> CosetReport:
-    """Probe whether the expanded words of two highly twisted plats can lie
+    """Probe whether the standard-form words of two highly twisted plats can lie
     in the same Hilden double coset.
 
     If the matrices are rotation-equal the words are in the same coset and
@@ -180,7 +184,7 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
         if mismatch:
             violations.append(
                 f"sample {s}: Hilden translate changed closure invariants: {mismatch}")
-        if not rotation_related and free_reduce(translate).letters == reduced_b2.letters:
+        if not rotation_related and free_reduce(translate).runs == reduced_b2.runs:
             violations.append(
                 f"sample {s}: translate reduces to word 2 although canonical forms differ")
 

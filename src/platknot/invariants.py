@@ -18,9 +18,10 @@ its sign and orientation conventions.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping
 
-from .braid import BraidWord, syllables
+from .braid import BraidWord
 from .errors import InternalError, TooManyCrossings
 from .plat import PlanarDiagram, PlatClosureStyle, _closure_pairs
 
@@ -350,10 +351,10 @@ def closure_determinant(word: BraidWord,
     col: list[list[int]] = [[]] * (strands + 1)
     for j, (p, q) in enumerate(_closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)):
         col[p] = col[q] = [int(k == j) for k in range(bridges)]
-    for i, a in syllables(word):
+    for i, a in word.runs:
         x, y = col[i], col[i + 1]
         d = [a * (u - v) for u, v in zip(x, y)]
-        col[i], col[i + 1] = [u + w for u, w in zip(x, d)], [v + w for v, w in zip(y, d)]
+        col[i], col[i + 1] = list(map(add, x, d)), list(map(add, y, d))
     pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
     return _bareiss_abs_det([[u - v for u, v in zip(col[p][:-1], col[q][:-1])]
                              for p, q in pairs[:-1]])

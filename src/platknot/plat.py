@@ -18,8 +18,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain
 
-from .braid import BraidWord, word_from_syllables
-from . import braid as _braid
+from .braid import BraidWord, permutation
 from .errors import (
     EvenHeight,
     FormatError,
@@ -63,8 +62,8 @@ class TwistMatrix:
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
         # exact type: bools are ints to Python, and floats must not be truncated
-        if set(map(type, chain.from_iterable(rows))) - {int}:
-            raise FormatError("twist-matrix entries must be integers")
+        if type(self.m) is not int or set(map(type, chain.from_iterable(rows))) - {int}:
+            raise FormatError("twist-matrix width and entries must be integers")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -155,7 +154,7 @@ def to_braid_word(mat: TwistMatrix) -> BraidWord:
         for j, a in enumerate(row):
             if a != 0:
                 runs.append((first + 2 * j, -a))
-    return word_from_syllables(2 * mat.m, runs)
+    return BraidWord(2 * mat.m, tuple(runs))
 
 
 class PlatClosureStyle(enum.Enum):
@@ -246,10 +245,13 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     """Close a braid word with bridge arcs and return its planar diagram.
 
     Closure arcs are nested in the projection plane and carry no crossings,
-    so the diagram has exactly len(word) crossings.  Arc labels, component
-    order and orientation follow the deterministic traversal rule: start at
-    the leftmost top bridge, then at the smallest unvisited arc.
+    so the diagram has exactly len(word) crossings.  It reads the word's
+    bounded letter view, so it raises TooManyCrossings above
+    ``braid.CROSSING_BUDGET`` before building anything.  Arc labels,
+    component order and orientation follow the deterministic traversal rule:
+    start at the leftmost top bridge, then at the smallest unvisited arc.
     """
+    letters = word.letters  # the budget check, before anything is allocated
     strands = word.strands
     top_pairs = _closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)
     bottom_pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
@@ -278,15 +280,12 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
         cur[p] = cur[q] = s
 
     crossing_segs: list[list[int]] = []  # per crossing: segment at NW,NE,SW,SE
-    letter_signs: list[int] = []
-    for k, lt in enumerate(word.letters):
-        i = lt.index
+    for k, (i, _) in enumerate(letters):
         out_l, out_r = new_seg(), new_seg()
         segs = [cur[i], cur[i + 1], out_l, out_r]
         for corner, s in enumerate(segs):
             seg_ports[s].append((k, corner))
         crossing_segs.append(segs)
-        letter_signs.append(lt.sign)
         cur[i], cur[i + 1] = out_l, out_r
 
     has_ports = [bool(seg_ports[s]) for s in range(len(parent))]
@@ -361,7 +360,7 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     comp_visit_over: list[list[tuple[int, bool]]] = [[] for _ in components_raw]
     over_diag = []
     for k, segs in enumerate(crossing_segs):
-        over = (_NW, _SE) if letter_signs[k] > 0 else (_NE, _SW)
+        over = (_NW, _SE) if letters[k].sign > 0 else (_NE, _SW)
         over_diag.append(over)
         e1, e2 = entry_corner[k]
         e_over = e1 if e1 in over else e2
@@ -417,7 +416,7 @@ def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureSty
     Each component is covered by exactly two orbits (one per direction).
     """
     strands = word.strands
-    perm = _braid.permutation(word)
+    perm = permutation(word)
     inv = [0] * (strands + 1)
     for i, p in enumerate(perm, start=1):
         inv[p] = i

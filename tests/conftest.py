@@ -1,4 +1,6 @@
+import contextlib
 import random
+import resource
 
 import pytest
 
@@ -34,3 +36,25 @@ def random_small_matrix(rng: random.Random, max_total: int,
         mat = random_matrix(rng, rng.choice(ms), rng.choice(ns), 0, 3)
         if sum(abs(a) for a in mat.entries()) <= max_total:
             return mat
+
+
+@contextlib.contextmanager
+def address_space_cap(extra_mb: int = 512):
+    """Turn an allocation of more than ``extra_mb`` MB beyond what the process
+    maps now into MemoryError, so a broken size check fails its test instead
+    of exhausting the machine's memory (Linux; elsewhere no cap)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    cap = mapped + extra_mb * 2 ** 20
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from platknot import TwistMatrix, closure, component_count
 from platknot.canonical import ELEMENTS, SymmetryElement, apply, canonical_form, equivalent
-from platknot.braid import BraidLetter, BraidWord, compose
+from platknot.braid import BraidWord, compose
 from platknot.hilden import expand, hilden_generators
 from platknot.invariants import (
     LaurentPoly,
@@ -22,7 +22,6 @@ from platknot.invariants import (
 from platknot.plat import braid_closure, to_braid_word, validate, is_highly_twisted
 from platknot.spheres import maximal_collection, maximal_collection_size, regions_between
 from platknot.twobridge import cf_evaluate, cf_reconstruct, schubert_pair
-from platknot.braid import syllables
 
 from conftest import random_matrix
 from test_invariants import diagram_is_connected
@@ -159,9 +158,9 @@ def test_criterion_5_hilden_invariance():
     assert {g.kind for g in gens} == {"h1", "h2", "h3", "h4"}
     bases = []
     while len(bases) < 50:
-        letters = tuple(BraidLetter(rng.randint(1, 7), rng.choice([1, -1]))
-                        for _ in range(rng.randint(4, 10)))
-        word = BraidWord(8, letters)
+        runs = tuple((rng.randint(1, 7), rng.choice([1, -1]))
+                     for _ in range(rng.randint(4, 10)))
+        word = BraidWord(8, runs)
         if diagram_is_connected(braid_closure(word)):
             bases.append(word)
     for base in bases:
@@ -214,7 +213,7 @@ def test_criterion_7_invariant_oracle_self_consistency():
 def test_criterion_8_example_golden():
     validate(EXAMPLE)
     assert is_highly_twisted(EXAMPLE, 4)
-    assert syllables(to_braid_word(EXAMPLE)) == [
+    assert list(to_braid_word(EXAMPLE).runs) == [
         (2, 4), (4, 4), (6, 4), (1, 4), (3, -6), (5, 4), (7, 4), (2, 4), (4, 4), (6, 6)]
     assert component_count(EXAMPLE) == 4
     canon1 = canonical_form(EXAMPLE)

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from platknot.braid import (
-    BraidLetter,
+    CROSSING_BUDGET,
     BraidWord,
     compose,
     format_word,
@@ -10,14 +12,64 @@ from platknot.braid import (
     inverse,
     parse_word,
     permutation,
-    syllables,
-    word_from_syllables,
 )
-from platknot.errors import FormatError, IndexRange, StrandMismatch
+from platknot.errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings
+from platknot.hilden import random_hilden_element
+
+from conftest import address_space_cap
 
 
 def W(strands, *pairs):
-    return BraidWord(strands, tuple(BraidLetter(i, s) for i, s in pairs))
+    return BraidWord(strands, pairs)
+
+
+# -- reference implementations: the letter-walking operations the runs
+# -- representation replaced, on tuples of (index, sign) letters
+
+def ref_letters(runs):
+    return tuple((i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e)))
+
+
+def ref_compose(a, b):
+    return a + b
+
+
+def ref_inverse(a):
+    return tuple((i, -s) for i, s in reversed(a))
+
+
+def ref_free_reduce(a):
+    out = []
+    for i, s in a:
+        if out and out[-1] == (i, -s):
+            out.pop()
+        else:
+            out.append((i, s))
+    return tuple(out)
+
+
+def ref_permutation(strands, a):
+    cur = list(range(strands + 1))
+    for i, _ in a:
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    out = [0] * strands
+    for pos in range(1, strands + 1):
+        out[cur[pos] - 1] = pos
+    return tuple(out)
+
+
+def ref_syllables(a):
+    runs = []
+    for i, s in a:
+        if runs and runs[-1][0] == i and (runs[-1][1] > 0) == (s > 0):
+            runs[-1] = (i, runs[-1][1] + s)
+        else:
+            runs.append((i, s))
+    return runs
+
+
+def _runs_on(n):
+    return st.lists(st.tuples(st.integers(1, n - 1), st.integers(-3, 3)), max_size=30)
 
 
 def _words_on(n):
@@ -29,6 +81,65 @@ def _words_on(n):
 words = st.integers(2, 5).map(lambda m: 2 * m).flatmap(_words_on)
 word_pairs = st.integers(2, 5).map(lambda m: 2 * m).flatmap(
     lambda n: st.tuples(_words_on(n), _words_on(n)))
+run_pairs = st.integers(1, 5).map(lambda m: 2 * m).flatmap(
+    lambda n: st.tuples(st.just(n), _runs_on(n), _runs_on(n)))
+
+
+class TestAgainstLetterReference:
+    @given(run_pairs)
+    def test_runs_operations_match_letter_walks(self, case):
+        n, runs_a, runs_b = case
+        a, b = BraidWord(n, runs_a), BraidWord(n, runs_b)
+        la, lb = ref_letters(runs_a), ref_letters(runs_b)
+        assert a.letters == la and len(a) == len(la)
+        assert compose(a, b).letters == ref_compose(la, lb)
+        assert inverse(a).letters == ref_inverse(la)
+        assert free_reduce(a).letters == ref_free_reduce(la)
+        assert free_reduce(compose(a, b)).letters == ref_free_reduce(la + lb)
+        assert permutation(a) == ref_permutation(n, la)
+        assert list(a.runs) == ref_syllables(la)
+        assert BraidWord(n, a.runs) == a
+
+    @given(run_pairs)
+    def test_equal_exactly_when_letters_are(self, case):
+        n, runs_a, runs_b = case
+        assert (BraidWord(n, runs_a) == BraidWord(n, runs_b)) == (
+            ref_letters(runs_a) == ref_letters(runs_b))
+
+
+def test_random_hilden_element_words_are_pinned():
+    # digest of the letter sequences drawn before words were stored as runs
+    h = hashlib.sha256()
+    for strands in range(2, 13, 2):
+        for length in range(40):
+            for seed in range(50):
+                w = random_hilden_element(strands, length, seed)
+                h.update((",".join(f"{i}:{s}" for i, s in w.letters) + "\n").encode())
+    assert h.hexdigest() == "d6fc66e80f39f2f53a64eab4cdf386cb5e192b94a97e32dc8f4db934488c9502"
+
+
+class TestConstruction:
+    def test_runs_are_normalised(self):
+        w = BraidWord(6, [(2, 1), (2, 2), (3, 0), (1, -1), (1, 1)])
+        assert w.runs == ((2, 3), (1, -1), (1, 1))
+        assert len(w) == 5
+
+    @pytest.mark.parametrize("strands", [8.0, True, "8", 7, 0])
+    def test_strand_count_must_be_even_int(self, strands):
+        with pytest.raises(IndexRange):
+            BraidWord(strands)
+
+    @pytest.mark.parametrize("run", [(1.0, 1), (1, 1.0), (True, 1), (1, "2")])
+    def test_non_int_run_entries_rejected(self, run):
+        with pytest.raises(IndexRange):
+            BraidWord(4, [run])
+
+    def test_letter_view_is_bounded_before_expansion(self):
+        w = BraidWord(4, [(1, 10 ** 9)])
+        assert len(w) == 10 ** 9 > CROSSING_BUDGET
+        with address_space_cap(), pytest.raises(TooManyCrossings):
+            w.letters
+        assert len(BraidWord(4, [(1, CROSSING_BUDGET)]).letters) == CROSSING_BUDGET
 
 
 class TestCompose:
@@ -36,8 +147,11 @@ class TestCompose:
         w = compose(W(4, (1, 1)), W(4, (1, -1)))
         assert len(w) == 2
 
+    def test_merges_runs_at_the_seam(self):
+        assert compose(W(4, (1, 2)), W(4, (1, 3), (2, 1))).runs == ((1, 5), (2, 1))
+
     def test_identity_element(self):
-        w = word_from_syllables(4, [(2, 3)])
+        w = BraidWord(4, [(2, 3)])
         assert compose(BraidWord(4), w) == w
 
     def test_h2_prefix_example(self):
@@ -73,6 +187,9 @@ class TestFreeReduce:
     def test_nested_cancellation(self):
         assert free_reduce(W(4, (1, 1), (2, 1), (2, -1), (1, -1))).letters == ()
 
+    def test_partial_cancellation_of_runs(self):
+        assert free_reduce(W(4, (1, 3), (2, 2), (2, -5), (1, 1))).runs == ((1, 3), (2, -3), (1, 1))
+
     def test_braid_relation_not_applied(self):
         w = W(4, (1, 1), (2, 1), (1, 1))
         assert free_reduce(w) == w
@@ -90,7 +207,7 @@ class TestPermutation:
 
     @pytest.mark.parametrize("k,expected", [(2, (1, 2, 3, 4)), (3, (1, 3, 2, 4))])
     def test_transposition_parity(self, k, expected):
-        assert permutation(word_from_syllables(4, [(2, k)])) == expected
+        assert permutation(BraidWord(4, [(2, k)])) == expected
 
     def test_sign_is_irrelevant(self):
         assert permutation(W(4, (2, 1))) == permutation(W(4, (2, -1)))
@@ -123,4 +240,4 @@ class TestTextSyntax:
 
     def test_syllables_merge_runs(self):
         w = W(4, (2, 1), (2, 1), (1, -1))
-        assert syllables(w) == [(2, 2), (1, -1)]
+        assert list(w.runs) == [(2, 2), (1, -1)]

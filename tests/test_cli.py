@@ -9,6 +9,8 @@ import pytest
 import platknot
 from platknot.cli import main
 
+from conftest import address_space_cap
+
 
 @pytest.fixture
 def example_file(tmp_path, example_matrix):
@@ -179,6 +181,9 @@ REJECTED = (
        for v in ("-1", "10001")]
     + [(["hilden", "random", "--strands", k, "--length", "2"], None, "--strands")
        for k in ("258", "1024")]
+    + [([cmd, "FILE"], "2 1\n1000000000\n", "TooManyCrossings")
+       for cmd in ("pd", "gauss", "invariants", "braid")]
+    + [(["--json", "braid", "FILE"], "2 1\n1000000000\n", "TooManyCrossings")]
     + [(["spheres", "--m", "101", "--n", "3"], None, "--m"),
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
@@ -195,11 +200,22 @@ def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv
         path = write_plat(tmp_path, "input.plat", text)
         argv = [path if a == "FILE" else a for a in argv]
     try:
-        status = main(argv)
+        with address_space_cap():  # a missed bound fails here, not the machine
+            status = main(argv)
     except SystemExit as exc:
         status = exc.code
     err = capsys.readouterr().err
     assert status == 2 and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_hilden_apply_bounds_the_moves_per_side(tmp_path, capsys, side):
+    f = write_plat(tmp_path, "e.plat", EXAMPLE_TEXT)
+    assert main(["--json", "hilden", "apply", f, f"--{side}", ",".join(["h1@1"] * 1000)]) == 0
+    assert json.loads(capsys.readouterr().out)["crossings"] == 1044
+    assert main(["hilden", "apply", f, f"--{side}", ",".join(["h1@1"] * 1001)]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and f"--{side}" in err and "1000" in err
 
 
 @pytest.mark.parametrize("text", ["2 1\n3\n", EXAMPLE_TEXT])

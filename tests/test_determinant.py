@@ -12,7 +12,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word
-from platknot.braid import BraidLetter, BraidWord, compose, word_from_syllables
+from platknot.braid import BraidWord, compose
 from platknot.canonical import ELEMENTS, apply, canonical_form
 from platknot.hilden import random_hilden_element
 from platknot.invariants import (
@@ -90,12 +90,12 @@ def test_colouring_matches_wirtinger_on_criterion_plats_and_translates():
 
 
 EDGE_CASES = {
-    "unknot": (word_from_syllables(2, []), 1),
-    "free loops": (word_from_syllables(4, []), 0),
-    "kink beside a free loop": (word_from_syllables(4, [(1, 1)]), 0),
-    "Hopf link": (word_from_syllables(4, [(2, 2)]), 2),
-    "split trefoils": (word_from_syllables(8, [(2, 3), (6, 3)]), 0),
-    "entirely-over circle": (word_from_syllables(4, [(2, 1), (2, -1)]), 0),
+    "unknot": (BraidWord(2, []), 1),
+    "free loops": (BraidWord(4, []), 0),
+    "kink beside a free loop": (BraidWord(4, [(1, 1)]), 0),
+    "Hopf link": (BraidWord(4, [(2, 2)]), 2),
+    "split trefoils": (BraidWord(8, [(2, 3), (6, 3)]), 0),
+    "entirely-over circle": (BraidWord(4, [(2, 1), (2, -1)]), 0),
 }
 
 
@@ -108,7 +108,7 @@ def test_edge_case_values():
 
 def test_colouring_matches_wirtinger_on_256_strands():
     h = random_hilden_element(256, 1000, 256)
-    trefoils = word_from_syllables(256, [(i, 3) for i in range(2, 256, 2)])
+    trefoils = BraidWord(256, [(i, 3) for i in range(2, 256, 2)])
     translate = compose(compose(random_hilden_element(256, 500, 1), trefoils),
                         random_hilden_element(256, 500, 2))
     # a Hilden element closes to the 128-component unlink; the translate to
@@ -121,10 +121,10 @@ def test_colouring_matches_wirtinger_on_256_strands():
 @st.composite
 def braid_words(draw) -> BraidWord:
     strands = draw(st.sampled_from([2, 4, 6, 8]))
-    letters = draw(st.lists(
-        st.builds(BraidLetter, st.integers(1, strands - 1), st.sampled_from([1, -1])),
+    runs = draw(st.lists(
+        st.tuples(st.integers(1, strands - 1), st.sampled_from([1, -1])),
         max_size=40))
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, tuple(runs))
 
 
 @settings(max_examples=150, deadline=None)

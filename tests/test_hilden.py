@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from platknot import TwistMatrix, braid_closure
-from platknot.braid import BraidWord, compose, permutation, syllables, word_from_syllables
+from platknot.braid import BraidWord, compose, permutation
 from platknot.errors import IndexParity, IndexRange
 from platknot.hilden import (
     HildenMove,
@@ -29,16 +30,16 @@ def partition_image(word):
 
 class TestExpand:
     def test_h1(self):
-        assert syllables(expand(HildenMove("h1", 3), 8)) == [(3, 1)]
+        assert list(expand(HildenMove("h1", 3), 8).runs) == [(3, 1)]
 
     def test_h2(self):
-        assert syllables(expand(HildenMove("h2", 1), 8)) == [(2, 1), (3, 1), (1, 1), (2, 1)]
+        assert list(expand(HildenMove("h2", 1), 8).runs) == [(2, 1), (3, 1), (1, 1), (2, 1)]
 
     def test_h3(self):
-        assert syllables(expand(HildenMove("h3", 1), 8)) == [(2, 1), (1, 1), (3, -1), (2, -1)]
+        assert list(expand(HildenMove("h3", 1), 8).runs) == [(2, 1), (1, 1), (3, -1), (2, -1)]
 
     def test_h4(self):
-        assert syllables(expand(HildenMove("h4", 1), 8)) == [(2, -1), (1, -1), (3, 1), (2, 1)]
+        assert list(expand(HildenMove("h4", 1), 8).runs) == [(2, -1), (1, -1), (3, 1), (2, 1)]
 
     def test_even_index_rejected(self):
         with pytest.raises(IndexParity):
@@ -65,23 +66,37 @@ class TestExpand:
 
 class TestApplyMoves:
     def test_no_moves_is_identity(self):
-        b = word_from_syllables(4, [(2, -3)])
+        b = BraidWord(4, [(2, -3)])
         assert apply_moves(b) == b
 
     def test_left_h1_example(self):
-        b = word_from_syllables(4, [(2, -3)])
+        b = BraidWord(4, [(2, -3)])
         out = apply_moves(b, left=[HildenMove("h1", 1)])
-        assert syllables(out) == [(1, 1), (2, -3)]
+        assert list(out.runs) == [(1, 1), (2, -3)]
 
     def test_left_moves_multiply_in_order(self):
         b = BraidWord(8)
         out = apply_moves(b, left=[HildenMove("h1", 1), HildenMove("h1", 3)])
-        assert syllables(out) == [(1, 1), (3, 1)]
+        assert list(out.runs) == [(1, 1), (3, 1)]
+
+    def test_matches_composing_one_move_at_a_time(self):
+        rng = random.Random(31)
+        gens = hilden_generators(8)
+        base = BraidWord(8, [(2, -3), (4, 2), (6, 1), (3, 1)])
+        for _ in range(20):
+            left = [gens[rng.randrange(13)] for _ in range(rng.randint(0, 5))]
+            right = [gens[rng.randrange(13)] for _ in range(rng.randint(0, 5))]
+            want = base
+            for mv in reversed(left):
+                want = compose(expand(mv, 8), want)
+            for mv in right:
+                want = compose(want, expand(mv, 8))
+            assert apply_moves(base, left, right) == want
 
     def test_closure_invariants_preserved(self):
         # connected closure, so the determinant is nonzero and a wrong one shows
         rng = random.Random(17)
-        base = word_from_syllables(8, [(2, -3), (4, 2), (6, 1), (3, 1), (5, -1), (7, 1)])
+        base = BraidWord(8, [(2, -3), (4, 2), (6, 1), (3, 1), (5, -1), (7, 1)])
         d0 = braid_closure(base)
         assert diagram_is_connected(d0)
         det0, comp0, j0 = determinant(d0), d0.n_components, jones_canonical(d0)
@@ -95,7 +110,7 @@ class TestApplyMoves:
 
     def test_component_count_preserved_even_for_split_closures(self):
         rng = random.Random(19)
-        base = word_from_syllables(8, [(2, -3), (5, 2)])  # split diagram
+        base = BraidWord(8, [(2, -3), (5, 2)])  # split diagram
         d0 = braid_closure(base)
         assert determinant(d0) == 0
         for _ in range(20):
@@ -156,3 +171,20 @@ class TestCosetConsistency:
     def test_summary_mentions_verdict(self):
         report = coset_consistency(M1, M1, samples=2, seed=0)
         assert "verdict: same_coset" in report.summary()
+
+
+def test_coset_cost_does_not_grow_with_the_twist():
+    # |a| around 10^5 is about 1.2M crossings; runs keep the harness at a
+    # few hundred regions' worth of memory
+    rng = random.Random(41)
+    rows = [tuple(rng.choice([-1, 1]) * rng.randint(90_000, 110_000) for _ in range(w))
+            for w in (3, 4, 3)]
+    mat1, mat2 = thick_matrix(rows), thick_matrix(rows[:2] + [rows[2][:2] + (rows[2][2] + 1,)])
+    tracemalloc.start()
+    try:
+        report = coset_consistency(mat1, mat2, samples=20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.consistent and report.verdict == "provably_distinct"
+    assert peak < 2_000_000

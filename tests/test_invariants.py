@@ -3,7 +3,7 @@ import random
 import pytest
 
 from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure
-from platknot.braid import BraidLetter, BraidWord
+from platknot.braid import BraidWord
 from platknot.errors import TooManyCrossings
 from platknot.invariants import (
     DELTA,
@@ -109,8 +109,7 @@ class TestWrithe:
         for _ in range(20):
             mat = random_small_matrix(rng, 14)
             word = __import__("platknot").to_braid_word(mat)
-            mirror = BraidWord(word.strands,
-                               tuple(BraidLetter(lt.index, -lt.sign) for lt in word.letters))
+            mirror = BraidWord(word.strands, tuple((i, -e) for i, e in word.runs))
             assert braid_closure(mirror).writhe == -braid_closure(word).writhe
 
 

@@ -11,10 +11,16 @@ from platknot import (
     to_braid_word,
     validate,
 )
-from platknot.braid import syllables
-from platknot.errors import EvenHeight, FormatError, WidthTooSmall, WrongRowLength
+from platknot.braid import CROSSING_BUDGET
+from platknot.errors import (
+    EvenHeight,
+    FormatError,
+    TooManyCrossings,
+    WidthTooSmall,
+    WrongRowLength,
+)
 
-from conftest import random_small_matrix
+from conftest import address_space_cap, random_small_matrix
 
 STYLES = list(PlatClosureStyle)
 
@@ -53,7 +59,7 @@ class TestToBraidWord:
     def test_example_expansion(self, example_matrix):
         w = to_braid_word(example_matrix)
         assert w.strands == 8
-        assert syllables(w) == [(2, 4), (4, 4), (6, 4),
+        assert list(w.runs) == [(2, 4), (4, 4), (6, 4),
                                 (1, 4), (3, -6), (5, 4), (7, 4),
                                 (2, 4), (4, 4), (6, 6)]
 
@@ -65,10 +71,20 @@ class TestToBraidWord:
         # a_11 = 3 on width 2 becomes sigma_2^-3 on 4 strands
         w = to_braid_word(TwistMatrix(2, [(3,)]))
         assert w.strands == 4
-        assert syllables(w) == [(2, -3)]
+        assert list(w.runs) == [(2, -3)]
 
 
 class TestClosure:
+    def test_crossing_budget_checked_before_expansion(self):
+        # 10^9 crossings: the check must fire before anything per crossing exists
+        mat = TwistMatrix(2, [(10 ** 9,)])
+        assert len(to_braid_word(mat)) == 10 ** 9
+        assert component_count(mat) == 2  # the (2, 10^9) torus link
+        for style in STYLES:
+            with address_space_cap(), pytest.raises(TooManyCrossings) as exc:
+                closure(mat, style)
+            assert exc.value.cap == CROSSING_BUDGET
+
     def test_crossing_count_is_total_twist(self, example_matrix):
         d = closure(example_matrix)
         assert d.crossing_count == sum(abs(a) for a in example_matrix.entries())
@@ -162,3 +178,8 @@ class TestTextFormat:
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises(FormatError):
             TwistMatrix(2, [(entry,)])
+
+    @pytest.mark.parametrize("m", [4.0, True, "4"])
+    def test_non_integer_width_rejected(self, m):
+        with pytest.raises(FormatError):
+            TwistMatrix(m, [(-4, -4, -4), (-4, 6, -4, -4), (-4, -4, -6)])
