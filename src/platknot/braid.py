@@ -69,13 +69,6 @@ class BraidWord:
                 out.append((index, exp))
         object.__setattr__(self, "runs", tuple(out))
 
-    @classmethod
-    def _normal(cls, strands: int, runs: tuple[tuple[int, int], ...]) -> "BraidWord":
-        """A word from runs that are already checked and normalised."""
-        word = object.__new__(cls)
-        word.__dict__.update(strands=strands, runs=runs)
-        return word
-
     def __len__(self) -> int:
         return sum(abs(exp) for _, exp in self.runs)
 
@@ -83,8 +76,9 @@ class BraidWord:
     def letters(self) -> tuple[BraidLetter, ...]:
         """One letter per crossing; TooManyCrossings above CROSSING_BUDGET,
         checked before anything is expanded."""
-        if len(self) > CROSSING_BUDGET:
-            raise TooManyCrossings(len(self), CROSSING_BUDGET)
+        crossings = sum(abs(exp) for _, exp in self.runs)
+        if crossings > CROSSING_BUDGET:
+            raise TooManyCrossings(crossings, CROSSING_BUDGET)
         out: list[BraidLetter] = []
         for index, exp in self.runs:
             out.extend([BraidLetter(index, 1 if exp > 0 else -1)] * abs(exp))
@@ -96,15 +90,12 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
     at the seam, nothing cancels."""
     if a.strands != b.strands:
         raise StrandMismatch(f"{a.strands} strands vs {b.strands} strands")
-    ra, rb = a.runs, b.runs
-    if ra and rb and ra[-1][0] == rb[0][0] and (ra[-1][1] > 0) == (rb[0][1] > 0):
-        return BraidWord._normal(a.strands, ra[:-1] + ((rb[0][0], ra[-1][1] + rb[0][1]),) + rb[1:])
-    return BraidWord._normal(a.strands, ra + rb)
+    return BraidWord(a.strands, a.runs + b.runs)
 
 
 def inverse(a: BraidWord) -> BraidWord:
     """Reverse the run order and negate every exponent."""
-    return BraidWord._normal(a.strands, tuple((i, -e) for i, e in reversed(a.runs)))
+    return BraidWord(a.strands, tuple((i, -e) for i, e in reversed(a.runs)))
 
 
 def free_reduce(a: BraidWord) -> BraidWord:
@@ -121,7 +112,7 @@ def free_reduce(a: BraidWord) -> BraidWord:
             if not exp:
                 continue
         out.append((index, exp))
-    return BraidWord._normal(a.strands, tuple(out))
+    return BraidWord(a.strands, tuple(out))
 
 
 def permutation(a: BraidWord) -> tuple[int, ...]:

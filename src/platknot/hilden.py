@@ -85,31 +85,26 @@ def apply_moves(b: BraidWord,
     return BraidWord(b.strands, tuple(runs))
 
 
-def _generator_keys(strands: int) -> list[tuple[str, int]]:
-    """(kind, index) of every legal generator on the given strand count."""
-    return ([("h1", i) for i in range(1, strands, 2)]
-            + [(kind, i) for kind in KINDS[1:] for i in range(1, strands - 1, 2)])
-
-
 def hilden_generators(strands: int) -> list[HildenMove]:
     """All legal generators on the given strand count."""
-    return [HildenMove(kind, i) for kind, i in _generator_keys(strands)]
+    gens = [HildenMove("h1", i) for i in range(1, strands, 2)]
+    for kind in ("h2", "h3", "h4"):
+        gens.extend(HildenMove(kind, i) for i in range(1, strands - 1, 2))
+    return gens
 
 
 def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     """Product of ``length`` uniformly chosen generators or their inverses,
-    deterministic in ``seed``; each drawn one's runs are built once a call."""
+    deterministic in ``seed``."""
     BraidWord(strands)  # rejects a bad strand count before anything is drawn
     rng = random.Random(seed)
-    gens = _generator_keys(strands)
-    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    gens = hilden_generators(strands)
     runs: list[tuple[int, int]] = []
     for _ in range(length):
-        key = (rng.randrange(len(gens)), rng.randrange(2))
-        if key not in table:
-            g = expand(HildenMove(*gens[key[0]]), strands)
-            table[key] = (inverse(g) if key[1] else g).runs
-        runs.extend(table[key])
+        g = expand(gens[rng.randrange(len(gens))], strands)
+        if rng.randrange(2):
+            g = inverse(g)
+        runs.extend(g.runs)
     return BraidWord(strands, tuple(runs))
 
 

@@ -18,7 +18,6 @@ its sign and orientation conventions.
 
 from __future__ import annotations
 
-from operator import add
 from typing import Mapping
 
 from .braid import BraidWord
@@ -354,7 +353,7 @@ def closure_determinant(word: BraidWord,
     for i, a in word.runs:
         x, y = col[i], col[i + 1]
         d = [a * (u - v) for u, v in zip(x, y)]
-        col[i], col[i + 1] = list(map(add, x, d)), list(map(add, y, d))
+        col[i], col[i + 1] = [u + w for u, w in zip(x, d)], [v + w for v, w in zip(y, d)]
     pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
     return _bareiss_abs_det([[u - v for u, v in zip(col[p][:-1], col[q][:-1])]
                              for p, q in pairs[:-1]])

@@ -140,6 +140,8 @@ class TestConstruction:
         with address_space_cap(), pytest.raises(TooManyCrossings):
             w.letters
         assert len(BraidWord(4, [(1, CROSSING_BUDGET)]).letters) == CROSSING_BUDGET
+        with address_space_cap(), pytest.raises(TooManyCrossings):
+            BraidWord(4, [(1, 10 ** 19)]).letters  # beyond sys.maxsize
 
 
 class TestCompose:

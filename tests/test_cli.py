@@ -167,6 +167,7 @@ EXAMPLE_TEXT = "4 3\n-4 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n"
 BAD_JSON = ['{"m": "x", "rows": [[3]]}', '{"m": 2, "rows": [["a"]]}',
             '{"m": 2, "n": "z", "rows": [[3]]}', '{"m": 2, "rows": [[1.5]]}',
             '{"m": 2, "rows": [[true]]}', '{"m": false, "rows": [[3]]}']
+BEYOND_MAXSIZE = "2 1\n10000000000000000000\n"  # len() of its word would overflow
 # (arguments, contents of FILE or None, what stderr must name)
 REJECTED = (
     [(["invariants", "FILE"], text, "FormatError") for text in BAD_JSON]
@@ -184,6 +185,9 @@ REJECTED = (
     + [([cmd, "FILE"], "2 1\n1000000000\n", "TooManyCrossings")
        for cmd in ("pd", "gauss", "invariants", "braid")]
     + [(["--json", "braid", "FILE"], "2 1\n1000000000\n", "TooManyCrossings")]
+    + [(argv, BEYOND_MAXSIZE, "TooManyCrossings")
+       for argv in (["pd", "FILE"], ["braid", "FILE"], ["--json", "braid", "FILE"],
+                    ["hilden", "apply", "FILE", "--left", "h1@1"])]
     + [(["spheres", "--m", "101", "--n", "3"], None, "--m"),
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
@@ -192,7 +196,8 @@ REJECTED = (
 
 
 @pytest.mark.parametrize("argv, text, named", REJECTED,
-                         ids=[" ".join(argv) + (f" {text}" if text in BAD_JSON else "")
+                         ids=[" ".join(argv)
+                              + (f" {text}" if text in BAD_JSON + [BEYOND_MAXSIZE] else "")
                               for argv, text, _ in REJECTED])
 def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv, text, named):
     # any exception other than argparse's SystemExit escapes main and fails here
