@@ -14,6 +14,7 @@ Equivalence questions are decided at the twist-matrix level.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,20 +58,27 @@ class BraidWord:
         if type(strands) is not int or strands < 2 or strands % 2:
             raise IndexRange(f"strands must be an even int >= 2, got {strands!r}")
         out: list[tuple[int, int]] = []
-        for index, exp in self.runs:
-            if type(index) is not int or type(exp) is not int or not 0 < index < strands:
-                raise IndexRange(f"run {(index, exp)!r} is not an int generator index in "
-                                 f"1..{strands - 1} with an int exponent")
-            if not exp:
-                continue
-            if out and out[-1][0] == index and (out[-1][1] > 0) == (exp > 0):
-                out[-1] = (index, out[-1][1] + exp)
-            else:
-                out.append((index, exp))
+        try:  # costs nothing per well-formed run, unlike a length check
+            for index, exp in self.runs:
+                if type(index) is not int or type(exp) is not int or not 0 < index < strands:
+                    raise IndexRange(f"run {(index, exp)!r} is not an int generator index in "
+                                     f"1..{strands - 1} with an int exponent")
+                if not exp:
+                    continue
+                if out and out[-1][0] == index and (out[-1][1] > 0) == (exp > 0):
+                    out[-1] = (index, out[-1][1] + exp)
+                else:
+                    out.append((index, exp))
+        except (TypeError, ValueError):  # runs not iterable, or a run not a pair
+            raise IndexRange("runs must be an iterable of (index, exponent) pairs") from None
         object.__setattr__(self, "runs", tuple(out))
 
     def __len__(self) -> int:
-        return sum(abs(exp) for _, exp in self.runs)
+        """The crossing count; TooManyCrossings where ``len()`` cannot return it."""
+        crossings = sum(abs(exp) for _, exp in self.runs)
+        if crossings > sys.maxsize:
+            raise TooManyCrossings(crossings, sys.maxsize)
+        return crossings
 
     @property
     def letters(self) -> tuple[BraidLetter, ...]:

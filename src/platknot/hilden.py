@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .braid import BraidWord, compose, free_reduce, inverse
@@ -93,15 +94,21 @@ def hilden_generators(strands: int) -> list[HildenMove]:
     return gens
 
 
+@lru_cache(maxsize=16)  # bounded: a library caller may try many strand counts
+def _generator_words(strands: int) -> tuple[BraidWord, ...]:
+    return tuple(expand(g, strands) for g in hilden_generators(strands))
+
+
 def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     """Product of ``length`` uniformly chosen generators or their inverses,
-    deterministic in ``seed``."""
-    BraidWord(strands)  # rejects a bad strand count before anything is drawn
+    deterministic in ``seed``.  The generator words come from a table built
+    once per strand count, in the order of :func:`hilden_generators`."""
+    BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
     rng = random.Random(seed)
-    gens = hilden_generators(strands)
+    gens = _generator_words(strands)
     runs: list[tuple[int, int]] = []
     for _ in range(length):
-        g = expand(gens[rng.randrange(len(gens))], strands)
+        g = gens[rng.randrange(len(gens))]
         if rng.randrange(2):
             g = inverse(g)
         runs.extend(g.runs)

@@ -345,18 +345,21 @@ def closure_determinant(word: BraidWord,
     Each bottom bridge (p, q) gives the row col[p] - col[q], whose entries
     sum to 0, and |det| of the first minor is the determinant (the Burau
     matrix at t = -1): 0 on split links, 1 on a lone circle.
+
+    That minor drops the last colour, and the map acts on each colour
+    coordinate separately, so only the first m - 1 coordinates are swept
+    (the last top bridge starts at 0); on 2 strands they are empty.
     """
     strands, bridges = word.strands, word.strands // 2
     col: list[list[int]] = [[]] * (strands + 1)
     for j, (p, q) in enumerate(_closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)):
-        col[p] = col[q] = [int(k == j) for k in range(bridges)]
+        col[p] = col[q] = [int(k == j) for k in range(bridges - 1)]
     for i, a in word.runs:
         x, y = col[i], col[i + 1]
-        d = [a * (u - v) for u, v in zip(x, y)]
-        col[i], col[i + 1] = [u + w for u, w in zip(x, d)], [v + w for v, w in zip(y, d)]
+        col[i] = [u + a * (u - v) for u, v in zip(x, y)]
+        col[i + 1] = [v + a * (u - v) for u, v in zip(x, y)]
     pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
-    return _bareiss_abs_det([[u - v for u, v in zip(col[p][:-1], col[q][:-1])]
-                             for p, q in pairs[:-1]])
+    return _bareiss_abs_det([[u - v for u, v in zip(col[p], col[q])] for p, q in pairs[:-1]])
 
 
 def determinant(diagram: PlanarDiagram) -> int:

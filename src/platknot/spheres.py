@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, DimensionsOutOfTheoremRange, IncomparableSpheres, InternalError
+from .errors import (
+    DimensionMismatch,
+    DimensionsOutOfTheoremRange,
+    FormatError,
+    IncomparableSpheres,
+    InternalError,
+)
 
 __all__ = [
     "VerticalSphere",
@@ -37,7 +43,10 @@ class VerticalSphere:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        c = tuple(self.c)
+        if set(map(type, c)) - {int}:  # exact type, as TwistMatrix: no bools, no floats
+            raise FormatError(f"sphere counts must be integers, got {c}")
+        object.__setattr__(self, "c", c)
 
     @property
     def n(self) -> int:

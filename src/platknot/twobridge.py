@@ -81,7 +81,9 @@ def cf_reconstruct(r: Fraction | int) -> tuple[int, ...]:
 
 
 def _check_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
-    coeffs = tuple(int(a) for a in coeffs)
+    coeffs = tuple(coeffs)
+    if set(map(type, coeffs)) - {int}:  # exact type, as TwistMatrix: no bools, no floats
+        raise InvalidCoefficients(f"coefficients must be integers, got {list(coeffs)}")
     if len(coeffs) % 2 == 0:
         raise InvalidCoefficients(f"need an odd number of coefficients, got {len(coeffs)}")
     if any(abs(a) < 3 for a in coeffs):

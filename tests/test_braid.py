@@ -134,6 +134,15 @@ class TestConstruction:
         with pytest.raises(IndexRange):
             BraidWord(4, [run])
 
+    @pytest.mark.parametrize("runs", [[5], [(1, 2, 3)], [(1,)], None, 5])
+    def test_malformed_runs_rejected(self, runs):
+        with pytest.raises(IndexRange):
+            BraidWord(4, runs)
+
+    def test_len_beyond_sys_maxsize_is_too_many_crossings(self):
+        with pytest.raises(TooManyCrossings):
+            len(BraidWord(4, [(1, 10 ** 19)]))
+
     def test_letter_view_is_bounded_before_expansion(self):
         w = BraidWord(4, [(1, 10 ** 9)])
         assert len(w) == 10 ** 9 > CROSSING_BUDGET

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from platknot import TwistMatrix, braid_closure
+from platknot import TwistMatrix, braid_closure, hilden
 from platknot.braid import BraidWord, compose, permutation
 from platknot.errors import IndexParity, IndexRange
 from platknot.hilden import (
@@ -134,6 +135,21 @@ class TestRandomElement:
         from platknot.braid import format_word
         w = random_hilden_element(8, 4, 2024)
         assert format_word(w) == "s2 s1 s3^-1 s2^-1 s4^-1 s5^-1 s3 s4 s7^-1 s6^-1 s7^-1 s5 s6"
+
+    @pytest.mark.parametrize("strands", [*range(2, 17, 2), 256])
+    def test_generator_table_holds_the_expanded_generators(self, strands):
+        assert hilden._generator_words(strands) == tuple(
+            expand(g, strands) for g in hilden_generators(strands))
+
+    @pytest.mark.parametrize("strands", [0, 3, -2, 8.0, True])
+    def test_bad_strand_count_rejected_before_table_or_draw(self, strands, monkeypatch):
+        # 8.0 and True hash like 8 and 1, so the check must come before the table
+        def unreachable(*args):
+            raise AssertionError("got past the strand check")
+        monkeypatch.setattr(hilden, "_generator_words", unreachable)
+        monkeypatch.setattr(hilden, "random", SimpleNamespace(Random=unreachable))
+        with pytest.raises(IndexRange):
+            random_hilden_element(strands, 3, 0)
 
     def test_samples_preserve_bridge_partition(self):
         # 1000 samples across seeds; the subgroup must fix {{1,2},...,{7,8}}

@@ -2,7 +2,12 @@ from itertools import product
 
 import pytest
 
-from platknot.errors import DimensionMismatch, DimensionsOutOfTheoremRange, IncomparableSpheres
+from platknot.errors import (
+    DimensionMismatch,
+    DimensionsOutOfTheoremRange,
+    FormatError,
+    IncomparableSpheres,
+)
 from platknot.spheres import (
     VerticalSphere,
     disjointly_realizable,
@@ -55,6 +60,11 @@ class TestValidity:
 
     def test_needs_width_three(self):
         assert not is_valid(S(1, 1, 1), 2, 3)
+
+    @pytest.mark.parametrize("c", [(1.9, 2), (1, 2.0), (True, 2), ("1", 2)])
+    def test_counts_must_be_exact_ints(self, c):
+        with pytest.raises(FormatError):
+            VerticalSphere(c)
 
     def test_wrong_length(self):
         assert not is_valid(S(1, 1), 4, 3)

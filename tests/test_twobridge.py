@@ -100,6 +100,12 @@ class TestSchubertPair:
         with pytest.raises(InvalidCoefficients):
             schubert_pair((3, 2, 3))
 
+    @pytest.mark.parametrize("coeffs", [(3.7, 3, 3), (3, 3.0, 3), (Fraction(7, 2), 3, 3),
+                                        ("3", 3, 3)])
+    def test_non_int_coefficients_rejected(self, coeffs):
+        with pytest.raises(InvalidCoefficients):
+            schubert_pair(coeffs)
+
     @given(coeff_lists.filter(lambda c: len(c) % 2 == 1))
     def test_reversal_invariance_property(self, coeffs):
         assert schubert_pair(coeffs) == schubert_pair(tuple(reversed(coeffs)))
