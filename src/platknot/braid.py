@@ -5,7 +5,7 @@ each letter carrying an exponent of +1 or -1.  Words are stored as maximal
 same-sign runs ``(index, exponent)``, so every operation here costs
 O(runs) whatever the exponents; only the bounded ``letters`` view expands
 crossings.  Letters act top to bottom as drawn in braid diagrams, and
-``compose(a, b)`` stacks ``a`` above ``b``.
+``compose(a, b, ...)`` stacks ``a`` above ``b`` above the rest.
 
 Only free reduction is performed here; braid relations are never applied.
 Equivalence questions are decided at the twist-matrix level.
@@ -93,12 +93,15 @@ class BraidWord:
         return tuple(out)
 
 
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Concatenate two words (``a`` stacked above ``b``); same-sign runs merge
-    at the seam, nothing cancels."""
-    if a.strands != b.strands:
-        raise StrandMismatch(f"{a.strands} strands vs {b.strands} strands")
-    return BraidWord(a.strands, a.runs + b.runs)
+def compose(first: BraidWord, *rest: BraidWord) -> BraidWord:
+    """Concatenate words, each stacked above the next, into one checked word;
+    same-sign runs merge at the seams, nothing cancels."""
+    runs = list(first.runs)
+    for word in rest:
+        if word.strands != first.strands:
+            raise StrandMismatch(f"{first.strands} strands vs {word.strands} strands")
+        runs += word.runs
+    return BraidWord(first.strands, runs)
 
 
 def inverse(a: BraidWord) -> BraidWord:

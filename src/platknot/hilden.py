@@ -180,7 +180,7 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     for s in range(samples):
         h_left = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
         h_right = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
-        translate = compose(compose(h_left, b1), h_right)
+        translate = compose(h_left, b1, h_right)
         inv_t = _closure_invariants(translate)
         mismatch = _differences(inv1, inv_t)
         if mismatch:

@@ -18,6 +18,7 @@ its sign and orientation conventions.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .braid import BraidWord
@@ -340,26 +341,28 @@ def closure_determinant(word: BraidWord,
     """Link determinant of the ``style`` plat closure of ``word``, from Fox
     colourings of its m bridges; no diagram is built.
 
-    Top bridge j gets the colour e_j; a run sigma_i^a maps the colours (x, y)
-    at positions i, i+1 to (x + a*d, y + a*d), d = x - y, in closed form.
-    Each bottom bridge (p, q) gives the row col[p] - col[q], whose entries
-    sum to 0, and |det| of the first minor is the determinant (the Burau
-    matrix at t = -1): 0 on split links, 1 on a lone circle.
-
-    That minor drops the last colour, and the map acts on each colour
-    coordinate separately, so only the first m - 1 coordinates are swept
-    (the last top bridge starts at 0); on 2 strands they are empty.
+    One scalar pass per top bridge j colours its two ends 1 and all else 0,
+    and sweeps the runs: sigma_i^a maps the colours (x, y) at positions i,
+    i+1 to (x + d, y + d), d = a*(x - y), in closed form.  The bottom bridges
+    (p, q) then read column j of the colouring matrix, col[p] - col[q]; each
+    row of the full matrix sums to 0, and |det| of the first minor is the
+    determinant (the Burau matrix at t = -1): 0 on split links, 1 on a lone
+    circle.  The minor drops the last top and bottom bridge, so m - 1 passes
+    run; on 2 strands the minor is empty.
     """
-    strands, bridges = word.strands, word.strands // 2
-    col: list[list[int]] = [[]] * (strands + 1)
-    for j, (p, q) in enumerate(_closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)):
-        col[p] = col[q] = [int(k == j) for k in range(bridges - 1)]
-    for i, a in word.runs:
-        x, y = col[i], col[i + 1]
-        col[i] = [u + a * (u - v) for u, v in zip(x, y)]
-        col[i + 1] = [v + a * (u - v) for u, v in zip(x, y)]
-    pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
-    return _bareiss_abs_det([[u - v for u, v in zip(col[p], col[q])] for p, q in pairs[:-1]])
+    strands, runs = word.strands, word.runs
+    top = _closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)
+    bottom = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)[:-1]
+    minor = []
+    for p, q in top[:-1]:
+        col = [0] * (strands + 1)
+        col[p] = col[q] = 1
+        for i, a in runs:
+            x, y = col[i], col[i + 1]
+            d = a * (x - y)
+            col[i], col[i + 1] = x + d, y + d
+        minor.append([col[p] - col[q] for p, q in bottom])
+    return _bareiss_abs_det(minor)  # the transposed minor: same |det|
 
 
 def determinant(diagram: PlanarDiagram) -> int:
@@ -369,13 +372,15 @@ def determinant(diagram: PlanarDiagram) -> int:
     generator deleted.  The oracle of :func:`closure_determinant`, and the
     determinant of the CLI report; it works on any PD code.
 
-    The minor is eliminated on +-1 pivots: the first live row with a unit
-    entry clears that entry's column, choosing the unit column shared by the
-    fewest rows (unimodular, so |det| is unchanged), and Bareiss finishes the
-    core that is left.  Split links have determinant 0, as |V(-1)| does: the
-    Wirtinger minor of a split diagram vanishes, and a crossingless circle
-    beside anything else (or an entirely-over circle) splits the diagram.
-    A lone crossingless circle is the unknot, 1.
+    The minor is eliminated on +-1 pivots, pending rows taken smallest first
+    from a heap (a row is queued again when an elimination changes it): a
+    row with a unit entry clears that entry's column, choosing the unit
+    column shared by the fewest rows, the first on a tie (unimodular, so
+    |det| is unchanged), and Bareiss finishes the core that is left.  Split
+    links have determinant 0, as |V(-1)| does: the Wirtinger minor of a
+    split diagram vanishes, and a crossingless circle beside anything else
+    (or an entirely-over circle) splits the diagram.  A lone crossingless
+    circle is the unknot, 1.
     """
     if diagram.free_loops:
         return 1 if diagram.free_loops == 1 and not diagram.quadruples else 0
@@ -386,15 +391,18 @@ def determinant(diagram: PlanarDiagram) -> int:
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
-    pending = set(range(len(rows)))  # live rows that may hold a unit entry
+    pending = list(range(len(rows)))  # a heap of live rows that may hold a unit entry
+    queued = [True] * len(rows)
     while pending:
-        p = min(pending)
-        pending.discard(p)
+        p = heappop(pending)
+        queued[p] = False
         prow = rows[p]
-        units = [j for j, v in prow.items() if abs(v) == 1]
-        if not units:
+        c, fewest = -1, 0
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (c < 0 or len(col_rows[j]) < fewest):
+                c, fewest = j, len(col_rows[j])
+        if c < 0:
             continue
-        c = min(units, key=lambda j: len(col_rows[j]))
         rows[p] = None
         for j in prow:
             col_rows[j].discard(p)
@@ -412,7 +420,9 @@ def determinant(diagram: PlanarDiagram) -> int:
                         col_rows[j].discard(r)
             if not row:
                 return 0
-            pending.add(r)
+            if not queued[r]:
+                queued[r] = True
+                heappush(pending, r)
     core = [row for row in rows if row is not None]
     return _bareiss_abs_det([[row.get(j, 0) for j in col_rows] for row in core])
 

@@ -315,10 +315,6 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
         raise InternalError("a diagram arc does not have exactly two ends")
 
     quad_raw = [[arc_of_root[find(s)] for s in segs] for segs in crossing_segs]
-    port_arc = {}
-    for a, ports in enumerate(arc_ports):
-        for port in ports:
-            port_arc[port] = a
 
     # Deterministic traversal: label arcs by first encounter.
     labels = [0] * n_arcs

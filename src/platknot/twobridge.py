@@ -36,13 +36,16 @@ __all__ = [
 
 
 def cf_evaluate(coeffs: Sequence[int]) -> Fraction:
-    """Value of the continued fraction [a_0; a_1, ..., a_k], exactly.
+    """Value of the continued fraction [a_0; a_1, ..., a_k] of exact ints
+    (InvalidCoefficients otherwise), exactly.
 
     Evaluated tail-first; raises DivisionByZeroTail if some tail is zero
     where a reciprocal is needed (e.g. [1; 1, -1]).
     """
     if not coeffs:
         raise InvalidCoefficients("empty continued fraction")
+    if set(map(type, coeffs)) - {int}:  # exact type, as _check_coeffs: no bools, no floats
+        raise InvalidCoefficients(f"coefficients must be integers, got {list(coeffs)}")
     value = Fraction(coeffs[-1])
     for a in reversed(coeffs[:-1]):
         if value == 0:

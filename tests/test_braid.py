@@ -170,9 +170,19 @@ class TestCompose:
         h2 = W(8, (2, 1), (3, 1), (1, 1), (2, 1))
         assert compose(h2, W(8, (1, 1))) == W(8, (2, 1), (3, 1), (1, 1), (2, 1), (1, 1))
 
+    def test_several_words_make_one_word(self):
+        assert compose(W(4, (1, 2)), W(4, (1, 3), (2, 1)), W(4, (2, 4)), W(4)) == \
+            W(4, (1, 5), (2, 5))
+        assert compose(W(4, (3, -1))) == W(4, (3, -1))
+
     def test_strand_mismatch(self):
         with pytest.raises(StrandMismatch):
             compose(BraidWord(4), BraidWord(6))
+
+    @pytest.mark.parametrize("strands", [(4, 4, 6), (4, 6, 4)])
+    def test_strand_mismatch_in_a_later_word(self, strands):
+        with pytest.raises(StrandMismatch):
+            compose(*(BraidWord(s) for s in strands))
 
 
 class TestInverse:

@@ -144,6 +144,23 @@ def test_sparse_matches_dense_on_braid_closures(word, style):
         assert det == jones_at_minus_one(jones(d))
 
 
+@st.composite
+def run_words(draw) -> BraidWord:
+    """Run words on up to 12 strands whose every run is drawn with an
+    exponent in -6..6, where ``braid_words`` draws +-1 letters on up to 8."""
+    strands = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    runs = draw(st.lists(
+        st.tuples(st.integers(1, strands - 1), st.integers(-6, 6).filter(bool)),
+        max_size=30))
+    return BraidWord(strands, tuple(runs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_words(), st.sampled_from(list(PlatClosureStyle)))
+def test_colouring_matches_wirtinger_on_run_words(word, style):
+    assert closure_determinant(word, style) == determinant(braid_closure(word, style))
+
+
 def test_large_plat_rotations_agree():
     mat = random_matrix(random.Random(1213), 12, 13, 4, 9)
     dets, components = set(), set()

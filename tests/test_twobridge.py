@@ -39,6 +39,11 @@ class TestEvaluate:
         with pytest.raises(InvalidCoefficients):
             cf_evaluate([])
 
+    @pytest.mark.parametrize("coeffs", [[3.7], [3, 0.5], [True, 3]])
+    def test_non_int_coefficients_rejected(self, coeffs):
+        with pytest.raises(InvalidCoefficients):
+            cf_evaluate(coeffs)
+
 
 class TestReconstruct:
     def test_simple(self):
