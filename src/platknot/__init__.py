@@ -12,7 +12,7 @@ Submodules:
 - ``cli``        the ``plat`` command
 """
 
-from .braid import BraidLetter, BraidWord, compose, free_reduce, inverse, permutation
+from .braid import BraidWord, compose, free_reduce, inverse, permutation
 from .canonical import SymmetryElement, apply, canonical_form, equivalent, symmetry_group
 from .errors import PlatError
 from .invariants import LaurentPoly, determinant, jones, kauffman_bracket

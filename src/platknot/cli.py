@@ -9,6 +9,7 @@ stdout to JSON lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import FormatError, PlatError
+from .errors import FormatError, PlatError, TooManyDigits
 from .plat import (
     PlatClosureStyle,
     TwistMatrix,
@@ -35,13 +36,13 @@ def _load_matrix(path: str) -> TwistMatrix:
             text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return TwistMatrix.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON in {path}: {exc}") from None
-    return TwistMatrix.from_text(text)
+    if not text.lstrip().startswith("{"):
+        return TwistMatrix.from_text(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
+        raise FormatError(f"bad JSON in {path}: {exc}") from None
+    return TwistMatrix.from_json_dict(obj)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -51,8 +52,14 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _style(args) -> PlatClosureStyle:
-    return PlatClosureStyle.from_name(args.style)
+@contextlib.contextmanager
+def _digit_limit():
+    """Turn Python's int-to-str limit (4,300 digits by default), met while
+    printing an exact result, into TooManyDigits."""
+    try:
+        yield
+    except ValueError as exc:
+        raise TooManyDigits(f"an exact result is too long to print: {exc}") from None
 
 
 def _cmd_validate(args) -> int:
@@ -94,7 +101,7 @@ def _cmd_braid(args) -> int:
 
 
 def _cmd_pd(args) -> int:
-    diagram = closure(_load_matrix(args.file), _style(args))
+    diagram = closure(_load_matrix(args.file), PlatClosureStyle(args.style))
     if args.json:
         print(json.dumps({"pd": [list(q) for q in diagram.quadruples],
                           "free_loops": diagram.free_loops}))
@@ -107,7 +114,7 @@ def _cmd_pd(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
-    diagram = closure(_load_matrix(args.file), _style(args))
+    diagram = closure(_load_matrix(args.file), PlatClosureStyle(args.style))
     lines = diagram.gauss_lines()
     if args.json:
         print(json.dumps({"gauss": lines}))
@@ -142,14 +149,24 @@ def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> 
 
 
 def _cmd_invariants(args) -> int:
-    return _print_invariants(args, to_braid_word(_load_matrix(args.file)), _style(args))
+    word = to_braid_word(_load_matrix(args.file))
+    return _print_invariants(args, word, PlatClosureStyle(args.style))
+
+
+MAX_RATIONAL_DIGITS = 4300  # Python's default int-to-str limit
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """``--rational`` as a Fraction.  Its length plus its decimal exponent
+    bounds the digits of numerator and denominator, so both are checked
+    against MAX_RATIONAL_DIGITS before Fraction builds 10^exponent."""
     try:
+        if len(text) > MAX_RATIONAL_DIGITS or (
+                len(text) + abs(int(text.lower().partition("e")[2] or 0)) > MAX_RATIONAL_DIGITS):
+            raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}: {exc}") from None
+        raise FormatError(f"bad rational {text[:40]!r}: {exc}") from None
 
 
 def _parse_coeff_list(text: str) -> list[int]:
@@ -176,9 +193,10 @@ def _cmd_twobridge(args) -> int:
         coeffs = list(twobridge.left_boundary_coeffs(mat) if args.side == "left"
                       else twobridge.right_boundary_coeffs(mat))
     pair = sorted(twobridge.schubert_pair(coeffs))
-    _emit(args,
-          {"coeffs": coeffs, "schubert-pair": [str(r) for r in pair]},
-          " ".join(str(r) for r in pair))
+    with _digit_limit():
+        _emit(args,
+              {"coeffs": coeffs, "schubert-pair": [str(r) for r in pair]},
+              " ".join(str(r) for r in pair))
     return 0
 
 
@@ -195,7 +213,7 @@ def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
             raise FormatError(f"bad Hilden move {tok!r}, expected kind@index")
         kind, _, idx = tok.partition("@")
         try:
-            moves.append(hilden.HildenMove(kind, int(idx), side))
+            moves.append(hilden.HildenMove(kind, int(idx)))
         except ValueError:
             raise FormatError(f"bad Hilden move index in {tok!r}") from None
     return moves
@@ -228,7 +246,8 @@ def _cmd_hilden_coset(args) -> int:
                           "consistent": report.consistent,
                           "violations": list(report.violations)}))
     else:
-        print(report.summary())
+        with _digit_limit():
+            print(report.summary())
     return 0 if report.consistent else 1
 
 
@@ -280,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, parents=()):
-        p = sub.add_parser(name, help=help_, parents=parents)
+    def add(name, fn, help_, parents=(), under=sub):
+        p = under.add_parser(name, help=help_, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
@@ -319,23 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hilden", help="Hilden moves and double-coset probes")
     hsub = ph.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("apply", help="multiply the standard word by Hilden moves",
-                        parents=[jones_cap])
-    p.set_defaults(fn=_cmd_hilden_apply)
+    p = add("apply", _cmd_hilden_apply, "multiply the standard word by Hilden moves",
+            [jones_cap], hsub)
     p.add_argument("file")
     p.add_argument("--left",
                    help=f'moves multiplied on the left, at most {MAX_MOVES}, e.g. "h2@1,h1@3"')
     p.add_argument("--right", help=f"moves multiplied on the right, at most {MAX_MOVES}")
-    p = hsub.add_parser("random", help="seeded random element of the Hilden subgroup",
-                        parents=[jones_cap])
-    p.set_defaults(fn=_cmd_hilden_random)
+    p = add("random", _cmd_hilden_random, "seeded random element of the Hilden subgroup",
+            [jones_cap], hsub)
     p.add_argument("--strands", type=_int_in(None, 256), required=True,
                    help="even strand count, at most 256")
     p.add_argument("--length", type=_int_in(0, 1000), required=True,
                    help="number of generators multiplied, 0..1000")
     p.add_argument("--seed", type=int, default=0)
-    p = hsub.add_parser("coset", help="falsification harness for coset equality")
-    p.set_defaults(fn=_cmd_hilden_coset)
+    p = add("coset", _cmd_hilden_coset, "falsification harness for coset equality", under=hsub)
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--samples", type=_int_in(0, 10_000), default=20,

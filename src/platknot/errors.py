@@ -83,5 +83,9 @@ class IncomparableSpheres(PlatError):
     """regions_between needs componentwise comparable spheres."""
 
 
+class TooManyDigits(PlatError):
+    """An exact result has more decimal digits than Python converts to text."""
+
+
 class InternalError(PlatError):
     """A mathematical invariant of the package's own construction failed."""

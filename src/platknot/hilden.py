@@ -36,17 +36,14 @@ KINDS = ("h1", "h2", "h3", "h4")
 
 @dataclass(frozen=True)
 class HildenMove:
-    """One generator: kind h1..h4 at an odd strand index, applied on one side."""
+    """One generator: kind h1..h4 at an odd strand index."""
 
     kind: str
     index: int
-    side: str = "left"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise IndexRange(f"unknown Hilden move kind {self.kind!r}")
-        if self.side not in ("left", "right"):
-            raise IndexRange(f"side must be left or right, got {self.side!r}")
 
 
 def expand(move: HildenMove, strands: int) -> BraidWord:

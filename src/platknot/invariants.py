@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .braid import BraidWord
 from .errors import InternalError, TooManyCrossings
-from .plat import PlanarDiagram, PlatClosureStyle, _closure_pairs
+from .plat import PlanarDiagram, PlatClosureStyle
 
 __all__ = [
     "LaurentPoly",
@@ -244,11 +244,13 @@ def max_writhe(diagram: PlanarDiagram) -> int:
     flips sign when exactly one of them reverses.  The maximum is intrinsic
     to the unoriented diagram, unlike the traversal-assigned writhe.
     """
+    comps = [[0, 0] for _ in diagram.signs]  # per crossing: [under, over] component
+    for ci, comp in enumerate(diagram.visits):
+        for k, over in comp:
+            comps[k][over] = ci
     self_w = 0
     inter: dict[tuple[int, int], int] = {}
-    for quad, sign in zip(diagram.quadruples, diagram.signs):
-        cu = diagram.component_of_arc[quad[0] - 1]
-        co = diagram.component_of_arc[quad[1] - 1]
+    for (cu, co), sign in zip(comps, diagram.signs):
         if cu == co:
             self_w += sign
         else:
@@ -351,10 +353,9 @@ def closure_determinant(word: BraidWord,
     run; on 2 strands the minor is empty.
     """
     strands, runs = word.strands, word.runs
-    top = _closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)
-    bottom = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)[:-1]
+    top, bottom = (pairs[:-1] for pairs in style.bridges(strands))  # the minor's bridges
     minor = []
-    for p, q in top[:-1]:
+    for p, q in top:
         col = [0] * (strands + 1)
         col[p] = col[q] = 1
         for i, a in runs:
@@ -449,13 +450,10 @@ def _wirtinger_minor(quads) -> list[dict[int, int]] | None:
         if rb != rd:
             aparent[rd] = rb
 
-    cols: dict[int, int] = {}
-    for a in aparent:
-        r = afind(a)
-        if r not in cols:
-            cols[r] = len(cols)
-    n_arcs = len(cols)
-    if n_arcs > len(quads):  # an entirely-over circle
+    gens: dict[int, int] = {}  # generator root -> column
+    col = {a: gens.setdefault(afind(a), len(gens)) for a in aparent}  # PD arc -> column
+    n_gens = len(gens)
+    if n_gens > len(quads):  # an entirely-over circle
         return None
 
     # first minors at t=-1 agree up to sign, so drop the last row and column
@@ -463,8 +461,8 @@ def _wirtinger_minor(quads) -> list[dict[int, int]] | None:
     for a, b, c, _ in quads[:-1]:
         row: dict[int, int] = {}
         for arc, v in ((b, 2), (a, -1), (c, -1)):
-            j = cols[afind(arc)]
-            if j < n_arcs - 1:
+            j = col[arc]
+            if j < n_gens - 1:
                 row[j] = row.get(j, 0) + v
         rows.append({j: v for j, v in row.items() if v})
     return rows

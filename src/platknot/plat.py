@@ -162,20 +162,21 @@ class PlatClosureStyle(enum.Enum):
     EVEN = "even"
     DOUBLY_EVEN = "doubly_even"
 
-    @classmethod
-    def from_name(cls, name: str) -> "PlatClosureStyle":
-        for st in cls:
-            if st.value == name:
-                return st
-        raise FormatError(f"unknown closure style {name!r}")
+    def bridges(self, strands: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The (top, bottom) bridge pairs of this closure on ``strands``
+        strands.  An end pairs (1,2),(3,4),... or, shifted, (2,3),...,(2m,1):
+        the standard style shifts neither end, the even style the bottom, the
+        doubly even style both."""
+        plain = [(p, p + 1) for p in range(1, strands, 2)]
+        shifted = [(p, p % strands + 1) for p in range(2, strands + 1, 2)]
+        return (shifted if self is PlatClosureStyle.DOUBLY_EVEN else plain,
+                plain if self is PlatClosureStyle.STANDARD else shifted)
 
 
-# Crossing corners, and the geometry used for orientation bookkeeping.
-# Braids are drawn top to bottom; NW/NE are the incoming ends.
+# Crossing corners.  Braids are drawn top to bottom; NW/NE are the incoming ends.
 _NW, _NE, _SW, _SE = 0, 1, 2, 3
 _OPPOSITE = (_SE, _SW, _NE, _NW)          # strands swap columns through a crossing
 _CCW_NEXT = (_SW, _NW, _SE, _NE)          # counterclockwise successor of each corner
-_XY = ((-1, 1), (1, 1), (-1, -1), (1, -1))
 
 
 @dataclass(frozen=True)
@@ -185,19 +186,20 @@ class PlanarDiagram:
     quadruples   PD code: arc labels counterclockwise from the incoming
                  under-strand end, one quadruple per crossing, crossings in
                  braid order (row-major over twist regions, top to bottom
-                 inside each region).
-    signs        crossing signs under the stored orientation.
-    components   arc labels in traversal order, one tuple per component;
-                 crossingless circles appear as empty tuples at the end.
+                 inside each region).  Arcs are labelled 1..arc_count in
+                 the order the traversal first meets them.
+    signs        crossing signs under the stored orientation: +1 iff the
+                 under strand enters one corner counterclockwise after the
+                 over strand.
+    arc_count    number of arcs (edges of the 4-valent diagram).
     visits       per component: (crossing index, passes_over) along the
-                 traversal; this records the orientation.
+                 traversal, which records the orientation; crossingless
+                 circles appear as empty tuples at the end.
     """
 
     quadruples: tuple[tuple[int, int, int, int], ...]
     signs: tuple[int, ...]
     arc_count: int
-    components: tuple[tuple[int, ...], ...]
-    component_of_arc: tuple[int, ...]
     visits: tuple[tuple[tuple[int, bool], ...], ...]
 
     @property
@@ -210,11 +212,11 @@ class PlanarDiagram:
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.visits)
 
     @property
     def free_loops(self) -> int:
-        return sum(1 for comp in self.components if not comp)
+        return sum(1 for comp in self.visits if not comp)
 
     def pd_lines(self) -> list[str]:
         return [f"X[{a},{b},{c},{d}]" for (a, b, c, d) in self.quadruples]
@@ -235,12 +237,6 @@ class PlanarDiagram:
         return lines
 
 
-def _closure_pairs(strands: int, shifted: bool) -> list[tuple[int, int]]:
-    if shifted:
-        return [(p, p % strands + 1) for p in range(2, strands + 1, 2)]
-    return [(p, p + 1) for p in range(1, strands, 2)]
-
-
 def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> PlanarDiagram:
     """Close a braid word with bridge arcs and return its planar diagram.
 
@@ -253,8 +249,7 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     """
     letters = word.letters  # the budget check, before anything is allocated
     strands = word.strands
-    top_pairs = _closure_pairs(strands, style is PlatClosureStyle.DOUBLY_EVEN)
-    bottom_pairs = _closure_pairs(strands, style is not PlatClosureStyle.STANDARD)
+    top_pairs, bottom_pairs = style.bridges(strands)
 
     # Trace strand segments through the braid.  A segment is born at a top
     # bridge or a crossing output and dies at a crossing input or a bottom
@@ -316,12 +311,12 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
 
     quad_raw = [[arc_of_root[find(s)] for s in segs] for segs in crossing_segs]
 
-    # Deterministic traversal: label arcs by first encounter.
+    # Deterministic traversal: label arcs by first encounter, and record the
+    # corners where each crossing's under and over strand enter it.
     labels = [0] * n_arcs
     next_label = 1
-    components_raw: list[list[int]] = []
-    visit_lists: list[list[tuple[int, int]]] = []
-    entry_corner: list[list[int]] = [[] for _ in crossing_segs]
+    visits: list[tuple[tuple[int, bool], ...]] = []
+    entry = [[0, 0] for _ in crossing_segs]  # per crossing: [under, over] entry corner
 
     start_order = []
     if parent and has_ports[find(0)]:
@@ -330,66 +325,41 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     for start in start_order:
         if labels[start]:
             continue
-        comp: list[int] = []
-        visits: list[tuple[int, int]] = []
+        comp: list[tuple[int, bool]] = []
         arc, far = start, arc_ports[start][0]
         while True:
             if not labels[arc]:
                 labels[arc] = next_label
                 next_label += 1
-            comp.append(arc)
             k, corner = far
-            visits.append((k, corner))
-            entry_corner[k].append(corner)
+            over = (corner in (_NW, _SE)) == (letters[k].sign > 0)  # NW-SE is over iff positive
+            comp.append((k, over))
+            entry[k][over] = corner
             out = _OPPOSITE[corner]
             nxt = quad_raw[k][out]
             p0, p1 = arc_ports[nxt]
             arc, far = nxt, (p1 if p0 == (k, out) else p0)
             if (arc, far) == (start, arc_ports[start][0]):
                 break
-        components_raw.append(comp)
-        visit_lists.append(visits)
+        visits.append(tuple(comp))
+    visits.extend(() for _ in range(free_circles))
 
-    # Crossing signs and PD quadruples from the recorded entry corners.
-    signs = []
+    # A crossing is positive iff its under strand enters one corner
+    # counterclockwise after its over strand; its PD quadruple starts at the
+    # under strand's entry and runs counterclockwise.
     quadruples = []
-    comp_visit_over: list[list[tuple[int, bool]]] = [[] for _ in components_raw]
-    over_diag = []
-    for k, segs in enumerate(crossing_segs):
-        over = (_NW, _SE) if letters[k].sign > 0 else (_NE, _SW)
-        over_diag.append(over)
-        e1, e2 = entry_corner[k]
-        e_over = e1 if e1 in over else e2
-        e_under = e2 if e1 in over else e1
-        vo = (-_XY[e_over][0], -_XY[e_over][1])
-        vu = (-_XY[e_under][0], -_XY[e_under][1])
-        signs.append(1 if (-vo[1], vo[0]) == vu else -1)
+    for k, (corner, _) in enumerate(entry):
         quad = []
-        corner = e_under
         for _ in range(4):
             quad.append(labels[quad_raw[k][corner]])
             corner = _CCW_NEXT[corner]
         quadruples.append(tuple(quad))
 
-    for ci, visits in enumerate(visit_lists):
-        for k, corner in visits:
-            comp_visit_over[ci].append((k, corner in over_diag[k]))
-
-    components = [tuple(labels[a] for a in comp) for comp in components_raw]
-    component_of_arc = [0] * n_arcs
-    for ci, comp in enumerate(components, start=1):
-        for lab in comp:
-            component_of_arc[lab - 1] = ci
-    components.extend(() for _ in range(free_circles))
-    comp_visit_over.extend([] for _ in range(free_circles))
-
     return PlanarDiagram(
         quadruples=tuple(quadruples),
-        signs=tuple(signs),
+        signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1 for e_under, e_over in entry),
         arc_count=n_arcs,
-        components=tuple(components),
-        component_of_arc=tuple(component_of_arc),
-        visits=tuple(tuple(v) for v in comp_visit_over),
+        visits=tuple(visits),
     )
 
 
@@ -416,8 +386,10 @@ def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureSty
     inv = [0] * (strands + 1)
     for i, p in enumerate(perm, start=1):
         inv[p] = i
-    tau_t = _pairing_map(strands, style is PlatClosureStyle.DOUBLY_EVEN)
-    tau_b = _pairing_map(strands, style is not PlatClosureStyle.STANDARD)
+    tau_t, tau_b = [0] * (strands + 1), [0] * (strands + 1)
+    for tau, pairs in zip((tau_t, tau_b), style.bridges(strands)):
+        for p, q in pairs:
+            tau[p], tau[q] = q, p
 
     seen = [False] * (strands + 1)
     orbits = 0
@@ -432,10 +404,3 @@ def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureSty
     if orbits % 2:
         raise InternalError(f"odd number of closure orbits: {orbits}")
     return orbits // 2
-
-
-def _pairing_map(strands: int, shifted: bool) -> list[int]:
-    tau = [0] * (strands + 1)
-    for p, q in _closure_pairs(strands, shifted):
-        tau[p], tau[q] = q, p
-    return tau

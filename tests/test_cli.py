@@ -134,6 +134,12 @@ class TestTwobridge:
         assert main(["twobridge", "--rational", "21/8"]) == 0
         assert "[3; -3, 3]".replace(" ", "") in capsys.readouterr().out.replace(" ", "")
 
+    def test_rational_exponent_inside_the_digit_bound(self, capsys):
+        # 6 characters plus exponent 4000 stay inside the 4,300-digit bound
+        assert main(["twobridge", "--rational", "1e4000"]) == 0
+        big = "1" + "0" * 4000
+        assert capsys.readouterr().out == f"{big} = [{big}]\n"
+
     def test_rational_not_representable(self, capsys):
         assert main(["twobridge", "--rational", "1/2"]) == 2
         assert "NotRepresentable" in capsys.readouterr().err
@@ -168,6 +174,9 @@ BAD_JSON = ['{"m": "x", "rows": [[3]]}', '{"m": 2, "rows": [["a"]]}',
             '{"m": 2, "n": "z", "rows": [[3]]}', '{"m": 2, "rows": [[1.5]]}',
             '{"m": 2, "rows": [[true]]}', '{"m": false, "rows": [[3]]}']
 BEYOND_MAXSIZE = "2 1\n10000000000000000000\n"  # len() of its word would overflow
+LONG_INT_JSON = '{"m": 2, "rows": [[1' + "0" * 4300 + ']]}'  # past Python's int digit limit
+DEEP_JSON = '{"m": ' + "[" * 100_000 + "]" * 100_000 + "}"
+THOUSAND_DIGITS = "4 3\n" + "\n".join(" ".join(["9" * 1000] * k) for k in (3, 4, 3)) + "\n"
 # (arguments, contents of FILE or None, what stderr must name)
 REJECTED = (
     [(["invariants", "FILE"], text, "FormatError") for text in BAD_JSON]
@@ -192,11 +201,22 @@ REJECTED = (
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
        (["spheres", "--m", "100", "--n", "2"], None, "DimensionsOutOfTheoremRange")]
+    + [(["validate", "FILE"], LONG_INT_JSON, "FormatError"),
+       (["canon", "FILE"], DEEP_JSON, "FormatError")]
+    # exact results past the digit limit, and --rational bounded before it is built
+    + [(["twobridge", "--coeffs", ",".join(["999"] * 3001)], None, "TooManyDigits"),
+       (["hilden", "coset", "FILE", "FILE", "--samples", "2"], THOUSAND_DIGITS, "TooManyDigits")]
+    + [(["twobridge", "--rational", v], None, "FormatError")
+       for v in ("1e5000", "1e-3000000", "1" * 4301, "9" * 4000 + "e400")]
 )
 
 
+def _short(arg: str) -> str:
+    return arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)"
+
+
 @pytest.mark.parametrize("argv, text, named", REJECTED,
-                         ids=[" ".join(argv)
+                         ids=[" ".join(map(_short, argv))
                               + (f" {text}" if text in BAD_JSON + [BEYOND_MAXSIZE] else "")
                               for argv, text, _ in REJECTED])
 def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv, text, named):

@@ -104,6 +104,15 @@ class TestWrithe:
     def test_kink_sign(self, a):
         assert abs(closure(TwistMatrix(2, [(a,)])).writhe) == 1
 
+    @pytest.mark.parametrize("diagram, stored, best", [
+        (lambda: closure(TwistMatrix(2, [(-2,)])), -2, 2),
+        (lambda: closure(TwistMatrix(2, [(-4,)])), -4, 4),
+        (lambda: braid_closure(BraidWord(6, [(2, 2), (4, -2)])), -4, 4),  # 3 components
+    ])
+    def test_max_writhe_on_links(self, diagram, stored, best):
+        d = diagram()
+        assert d.writhe == stored and max_writhe(d) == best
+
     def test_mirror_negates(self):
         rng = random.Random(23)
         for _ in range(20):

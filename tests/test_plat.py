@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from platknot import (
     PlatClosureStyle,
     TwistMatrix,
+    braid_closure,
     closure,
     component_count,
     is_highly_twisted,
     to_braid_word,
     validate,
 )
-from platknot.braid import CROSSING_BUDGET
+from platknot.braid import CROSSING_BUDGET, BraidWord
 from platknot.errors import (
     EvenHeight,
     FormatError,
@@ -19,6 +21,7 @@ from platknot.errors import (
     WidthTooSmall,
     WrongRowLength,
 )
+from platknot.invariants import max_writhe
 
 from conftest import address_space_cap, random_small_matrix
 
@@ -138,6 +141,28 @@ class TestClosure:
                 assert len(shared) == 2
             k += abs(a)
         assert k == d.crossing_count
+
+
+    def test_bridge_pairs_of_each_style(self):
+        plain, shifted = [(1, 2), (3, 4), (5, 6)], [(2, 3), (4, 5), (6, 1)]
+        assert PlatClosureStyle.STANDARD.bridges(6) == (plain, plain)
+        assert PlatClosureStyle.EVEN.bridges(6) == (plain, shifted)
+        assert PlatClosureStyle.DOUBLY_EVEN.bridges(6) == (shifted, shifted)
+
+    def test_closure_conventions_pinned(self):
+        # bridge pairs, traversal order, orientation and crossing signs of
+        # all three styles, over seeded words on 2-10 strands
+        rng = random.Random(9)
+        h = hashlib.sha256()
+        for _ in range(400):
+            strands = rng.choice((2, 4, 6, 8, 10))
+            word = BraidWord(strands, [(rng.randint(1, strands - 1), rng.choice((-2, -1, 1, 2)))
+                                       for _ in range(rng.randint(0, 10))])
+            for style in STYLES:
+                d = braid_closure(word, style)
+                h.update(repr((d.pd_lines(), d.gauss_lines(), d.signs, d.n_components,
+                               d.free_loops, max_writhe(d))).encode() + b"\n")
+        assert h.hexdigest() == "010beac0e5b2cdb3d82b515e602d6cab9879353b1419ddcdc998f0ff6282e954"
 
 
 class TestComponentCount:
