@@ -72,7 +72,7 @@ class TwistMatrix:
 
     def entries(self) -> tuple[int, ...]:
         """All coefficients, rows concatenated in order."""
-        return tuple(a for row in self.rows for a in row)
+        return tuple(chain.from_iterable(self.rows))
 
     # -- text interchange: line 1 "m n", then n whitespace-separated rows --
 
@@ -128,16 +128,16 @@ def validate(mat: TwistMatrix) -> None:
         raise WidthTooSmall(f"width m must be >= 2, got {mat.m}")
     if mat.n < 1 or mat.n % 2 == 0:
         raise EvenHeight(f"height n must be odd and >= 1, got {mat.n}")
-    for i, row in enumerate(mat.rows, start=1):
-        want = row_width(mat.m, i)
-        if len(row) != want:
-            raise WrongRowLength(i, want, len(row))
+    m = mat.m
+    for i, width in enumerate(map(len, mat.rows), start=1):
+        if width != m - i % 2:  # row_width, inline
+            raise WrongRowLength(i, m - i % 2, width)
 
 
 def is_highly_twisted(mat: TwistMatrix, c: int) -> bool:
     """True iff every coefficient satisfies |a_ij| >= c."""
     validate(mat)
-    return all(abs(a) >= c for a in mat.entries())
+    return min(map(abs, mat.entries())) >= c  # validate leaves row 1 non-empty
 
 
 def to_braid_word(mat: TwistMatrix) -> BraidWord:

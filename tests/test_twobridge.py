@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from platknot import TwistMatrix, closure
-from platknot.errors import DivisionByZeroTail, InvalidCoefficients, NotRepresentable
+from platknot.errors import (
+    DivisionByZeroTail,
+    FormatError,
+    InvalidCoefficients,
+    NotRepresentable,
+)
 from platknot.invariants import determinant
 from platknot.twobridge import (
     cf_evaluate,
@@ -170,3 +175,82 @@ class TestDeterminantOracle:
         mat = boundary_plat(coeffs)
         assert sum(abs(a) for a in mat.entries()) <= 22
         assert determinant(closure(mat)) == num
+
+
+# -- the exact integer kernels against the plain Fraction evaluation ---------
+
+def ref_evaluate(coeffs):
+    """Tail-first Fraction evaluation of [a_0; a_1, ..., a_k]: the reference
+    that the integer-pair kernels must reproduce."""
+    value = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        if value == 0:
+            raise DivisionByZeroTail(f"tail of {list(coeffs)} evaluates to 0")
+        value = a + 1 / value
+    return value
+
+
+def alternate(coeffs):
+    """[a_1, -a_2, a_3, ..., -a_(n-1), a_n]"""
+    return [a if i % 2 == 0 else -a for i, a in enumerate(coeffs)]
+
+
+def ref_or_zero_tail(f, coeffs):
+    try:
+        return f(coeffs)
+    except DivisionByZeroTail:
+        return DivisionByZeroTail
+
+
+long_coeff_lists = st.lists(
+    st.integers(3, 9).flatmap(lambda a: st.sampled_from([a, -a])),
+    min_size=1, max_size=25)
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=400)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=15))
+    def test_evaluate(self, coeffs):
+        assert ref_or_zero_tail(cf_evaluate, coeffs) == ref_or_zero_tail(ref_evaluate, coeffs)
+
+    @settings(max_examples=400)
+    @given(long_coeff_lists.filter(lambda c: len(c) % 2 == 1))
+    def test_schubert_pair(self, coeffs):
+        assert schubert_pair(coeffs) == frozenset(
+            {ref_evaluate(alternate(coeffs)), ref_evaluate(alternate(coeffs[::-1]))})
+
+    @settings(max_examples=400)
+    @given(long_coeff_lists)
+    def test_reconstruct(self, coeffs):
+        assert cf_reconstruct(ref_evaluate(coeffs)) == tuple(coeffs)
+
+    def test_integer_input_reconstructs(self):
+        assert cf_reconstruct(5) == (5,)
+        assert cf_reconstruct(-3) == (-3,)
+
+
+class TestCoefficientBoundary:
+    def test_iterator_evaluates_like_a_list(self):
+        assert cf_evaluate(iter([3, 3])) == cf_evaluate([3, 3]) == Fraction(10, 3)
+        assert cf_evaluate(a for a in (3, -3, 3)) == Fraction(21, 8)
+
+    def test_iterator_gives_the_same_schubert_pair(self):
+        assert schubert_pair(iter([3, 3, 4])) == schubert_pair([3, 3, 4])
+        assert twobridge_equivalent(iter([3, 3, 4]), iter([4, 3, 3]))
+
+    @pytest.mark.parametrize("f", [cf_evaluate, schubert_pair])
+    @pytest.mark.parametrize("coeffs", [5, None, 3.0])
+    def test_non_iterable_rejected(self, f, coeffs):
+        with pytest.raises(InvalidCoefficients):
+            f(coeffs)
+
+    @pytest.mark.parametrize("r", [2.5, "x", "21/8", True, None, [3]])
+    def test_reconstruct_needs_an_exact_rational(self, r):
+        with pytest.raises(FormatError):
+            cf_reconstruct(r)
+
+    def test_reconstruct_messages(self):
+        with pytest.raises(NotRepresentable, match=r"^7/2 is equidistant from 3 and 4"):
+            cf_reconstruct(Fraction(7, 2))
+        with pytest.raises(NotRepresentable, match="coefficient 2 of modulus < 3 at position 1"):
+            cf_reconstruct(4 + 1 / Fraction(7, 3))
