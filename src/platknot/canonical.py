@@ -32,23 +32,6 @@ class SymmetryElement(enum.Enum):
     V = "v"    # pi-rotation about the vertical axis: reverses each row
     HV = "hv"  # both
 
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        flips_h = (self in (SymmetryElement.H, SymmetryElement.HV)) ^ \
-                  (other in (SymmetryElement.H, SymmetryElement.HV))
-        flips_v = (self in (SymmetryElement.V, SymmetryElement.HV)) ^ \
-                  (other in (SymmetryElement.V, SymmetryElement.HV))
-        return _FROM_FLIPS[(flips_h, flips_v)]
-
-    def inverse(self) -> "SymmetryElement":
-        return self  # every element is an involution
-
-
-_FROM_FLIPS = {
-    (False, False): SymmetryElement.ID,
-    (True, False): SymmetryElement.H,
-    (False, True): SymmetryElement.V,
-    (True, True): SymmetryElement.HV,
-}
 
 ELEMENTS = (SymmetryElement.ID, SymmetryElement.H, SymmetryElement.V, SymmetryElement.HV)
 

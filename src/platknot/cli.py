@@ -330,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("twobridge", _cmd_twobridge, "Schubert pair / expansion reconstruction")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--coeffs", help='coefficient list, e.g. "3,-3,3"')
-    p.add_argument("--rational", help="reconstruct the |a_i| >= 3 expansion of p/q")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?")
+    source.add_argument("--coeffs", help='coefficient list, e.g. "3,-3,3"')
+    source.add_argument("--rational", help="reconstruct the |a_i| >= 3 expansion of p/q")
     p.add_argument("--side", default="left", choices=["left", "right"],
                    help="boundary column when reading coefficients from FILE")
 
@@ -368,12 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "twobridge":
-        given = [x for x in (args.file, args.coeffs, args.rational) if x is not None]
-        if len(given) != 1:
-            parser.error("twobridge needs exactly one of FILE, --coeffs, --rational")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except PlatError as exc:

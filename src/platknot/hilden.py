@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import equivalent
-from .errors import IndexParity, IndexRange
+from .errors import FormatError, IndexParity, IndexRange
 from .invariants import closure_determinant
 from .plat import TwistMatrix, closure_components, to_braid_word
 
@@ -44,6 +44,8 @@ class HildenMove:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise IndexRange(f"unknown Hilden move kind {self.kind!r}")
+        if type(self.index) is not int:  # exact type, as BraidWord
+            raise IndexRange(f"Hilden move index must be an int, got {self.index!r}")
 
 
 def expand(move: HildenMove, strands: int) -> BraidWord:
@@ -91,6 +93,12 @@ def hilden_generators(strands: int) -> list[HildenMove]:
     return gens
 
 
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if type(value) is not int:  # exact type: no bools, no floats
+            raise FormatError(f"{name} must be an int, got {value!r}")
+
+
 @lru_cache(maxsize=16)  # bounded: a library caller may try many strand counts
 def _generator_words(strands: int) -> tuple[BraidWord, ...]:
     return tuple(expand(g, strands) for g in hilden_generators(strands))
@@ -101,6 +109,7 @@ def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     deterministic in ``seed``.  The generator words come from a table built
     once per strand count, in the order of :func:`hilden_generators`."""
     BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
+    _check_ints(length=length, seed=seed)
     rng = random.Random(seed)
     gens = _generator_words(strands)
     runs: list[tuple[int, int]] = []
@@ -161,6 +170,7 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     to b2 as a word.  Any violation recorded here falsifies the claimed
     uniqueness and indicates a bug somewhere.
     """
+    _check_ints(samples=samples, seed=seed)
     # canonical_form preconditions are enforced by `equivalent`
     rotation_related = equivalent(mat1, mat2)
     b1, b2 = to_braid_word(mat1), to_braid_word(mat2)

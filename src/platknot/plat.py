@@ -177,6 +177,8 @@ class PlatClosureStyle(enum.Enum):
 _NW, _NE, _SW, _SE = 0, 1, 2, 3
 _OPPOSITE = (_SE, _SW, _NE, _NW)          # strands swap columns through a crossing
 _CCW_NEXT = (_SW, _NW, _SE, _NE)          # counterclockwise successor of each corner
+_CCW_FROM = ((_NW, _SW, _SE, _NE), (_NE, _NW, _SW, _SE),  # all four, counterclockwise
+             (_SW, _SE, _NE, _NW), (_SE, _NE, _NW, _SW))  # from each corner
 
 
 @dataclass(frozen=True)
@@ -243,25 +245,35 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     Closure arcs are nested in the projection plane and carry no crossings,
     so the diagram has exactly len(word) crossings.  It reads the word's
     bounded letter view, so it raises TooManyCrossings above
-    ``braid.CROSSING_BUDGET`` before building anything.  Arc labels,
-    component order and orientation follow the deterministic traversal rule:
-    start at the leftmost top bridge, then at the smallest unvisited arc.
+    ``braid.CROSSING_BUDGET`` before building anything.
+
+    Arcs are labelled 1..arc_count in traversal order, which also fixes the
+    component order and orientation.  The first component is entered at the
+    first end of the arc through the leftmost top bridge, each later one at
+    the first end of the first unvisited arc.  Ends are ordered by (segment,
+    crossing, corner); segments run over the top bridges left to right, then
+    over each crossing's two outputs in braid order.
     """
     letters = word.letters  # the budget check, before anything is allocated
-    strands = word.strands
-    top_pairs, bottom_pairs = style.bridges(strands)
+    top_pairs, bottom_pairs = style.bridges(word.strands)
 
-    # Trace strand segments through the braid.  A segment is born at a top
-    # bridge or a crossing output and dies at a crossing input or a bottom
-    # bridge; bottom bridges merge segments (union-find), so the classes
-    # that remain are exactly the arcs (edges) of the 4-valent diagram.
-    seg_ports: list[list[tuple[int, int]]] = []
-    parent: list[int] = []
+    # Port 4k + corner is a corner of crossing k.  A strand segment is born
+    # at top bridge j (segment j) or at crossing k's SW/SE outputs (segments
+    # len(top_pairs) + 2k, + 2k + 1) and dies at crossing inputs or bottom
+    # bridges; ports[s] lists the crossing ends of segment s.
+    cur = [0] * (word.strands + 1)
+    for j, (p, q) in enumerate(top_pairs):
+        cur[p] = cur[q] = j
+    ports: list[list[int]] = [[] for _ in top_pairs]
+    for k, (i, _) in enumerate(letters):
+        ports[cur[i]].append(4 * k + _NW)
+        ports[cur[i + 1]].append(4 * k + _NE)
+        cur[i], cur[i + 1] = len(ports), len(ports) + 1
+        ports += [4 * k + _SW], [4 * k + _SE]
 
-    def new_seg() -> int:
-        seg_ports.append([])
-        parent.append(len(parent))
-        return len(parent) - 1
+    # Bottom bridges merge segments (union-find); each class with ports is
+    # an arc (edge) of the 4-valent diagram, each class without a free circle.
+    parent = list(range(len(ports)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -269,96 +281,50 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
             x = parent[x]
         return x
 
-    cur = [0] * (strands + 1)
-    for p, q in top_pairs:
-        s = new_seg()
-        cur[p] = cur[q] = s
-
-    crossing_segs: list[list[int]] = []  # per crossing: segment at NW,NE,SW,SE
-    for k, (i, _) in enumerate(letters):
-        out_l, out_r = new_seg(), new_seg()
-        segs = [cur[i], cur[i + 1], out_l, out_r]
-        for corner, s in enumerate(segs):
-            seg_ports[s].append((k, corner))
-        crossing_segs.append(segs)
-        cur[i], cur[i + 1] = out_l, out_r
-
-    has_ports = [bool(seg_ports[s]) for s in range(len(parent))]
-    free_circles = 0
     for p, q in bottom_pairs:
-        ra, rb = find(cur[p]), find(cur[q])
-        if ra == rb:
-            if not has_ports[ra]:
-                free_circles += 1
-        else:
-            parent[rb] = ra
-            has_ports[ra] = has_ports[ra] or has_ports[rb]
+        parent[find(cur[q])] = find(cur[p])
+    ends: dict[int, list[int]] = {}  # arc root -> its ends, in segment order
+    for s, seg_ports in enumerate(ports):
+        if seg_ports:
+            ends.setdefault(find(s), []).extend(seg_ports)
+    free_circles = len({find(j) for j in range(len(top_pairs))} - ends.keys())
+    partner = [0] * (4 * len(letters))  # the other end of the arc at each port
+    for arc in ends.values():
+        if len(arc) != 2:
+            raise InternalError("a diagram arc does not have exactly two ends")
+        partner[arc[0]], partner[arc[1]] = arc[1], arc[0]
 
-    # Arcs: segment classes with ports, indexed in creation order.
-    arc_of_root: dict[int, int] = {}
-    arc_ports: list[list[tuple[int, int]]] = []
-    for s in range(len(parent)):
-        if not seg_ports[s]:
-            continue
-        r = find(s)
-        if r not in arc_of_root:
-            arc_of_root[r] = len(arc_ports)
-            arc_ports.append([])
-        arc_ports[arc_of_root[r]].extend(seg_ports[s])
-    n_arcs = len(arc_ports)
-    if any(len(ports) != 2 for ports in arc_ports):
-        raise InternalError("a diagram arc does not have exactly two ends")
-
-    quad_raw = [[arc_of_root[find(s)] for s in segs] for segs in crossing_segs]
-
-    # Deterministic traversal: label arcs by first encounter, and record the
-    # corners where each crossing's under and over strand enter it.
-    labels = [0] * n_arcs
-    next_label = 1
+    # Traversal: entering crossing k at a corner labels the arc just walked
+    # (at both its ends), records the entry corner of the under or over
+    # strand, and leaves through the opposite corner.
+    label, labelled = [0] * len(partner), 0
+    entry = [[0, 0] for _ in letters]  # per crossing: [under, over] entry corner
     visits: list[tuple[tuple[int, bool], ...]] = []
-    entry = [[0, 0] for _ in crossing_segs]  # per crossing: [under, over] entry corner
-
-    start_order = []
-    if parent and has_ports[find(0)]:
-        start_order.append(arc_of_root[find(0)])  # leftmost top bridge
-    start_order.extend(range(n_arcs))
-    for start in start_order:
-        if labels[start]:
-            continue
+    starts = [arc[0] for arc in ends.values()]
+    if find(0) in ends:
+        starts.insert(0, ends[find(0)][0])  # leftmost top bridge
+    for port in starts:
         comp: list[tuple[int, bool]] = []
-        arc, far = start, arc_ports[start][0]
-        while True:
-            if not labels[arc]:
-                labels[arc] = next_label
-                next_label += 1
-            k, corner = far
+        while not label[port]:
+            labelled += 1
+            label[port] = label[partner[port]] = labelled
+            k, corner = divmod(port, 4)
             over = (corner in (_NW, _SE)) == (letters[k].sign > 0)  # NW-SE is over iff positive
             comp.append((k, over))
             entry[k][over] = corner
-            out = _OPPOSITE[corner]
-            nxt = quad_raw[k][out]
-            p0, p1 = arc_ports[nxt]
-            arc, far = nxt, (p1 if p0 == (k, out) else p0)
-            if (arc, far) == (start, arc_ports[start][0]):
-                break
-        visits.append(tuple(comp))
+            port = partner[4 * k + _OPPOSITE[corner]]
+        if comp:
+            visits.append(tuple(comp))
     visits.extend(() for _ in range(free_circles))
 
     # A crossing is positive iff its under strand enters one corner
     # counterclockwise after its over strand; its PD quadruple starts at the
     # under strand's entry and runs counterclockwise.
-    quadruples = []
-    for k, (corner, _) in enumerate(entry):
-        quad = []
-        for _ in range(4):
-            quad.append(labels[quad_raw[k][corner]])
-            corner = _CCW_NEXT[corner]
-        quadruples.append(tuple(quad))
-
     return PlanarDiagram(
-        quadruples=tuple(quadruples),
+        quadruples=tuple(tuple(label[4 * k + c] for c in _CCW_FROM[e_under])
+                         for k, (e_under, _) in enumerate(entry)),
         signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1 for e_under, e_over in entry),
-        arc_count=n_arcs,
+        arc_count=len(ends),
         visits=tuple(visits),
     )
 

@@ -61,9 +61,15 @@ def _row_max(m: int, i: int) -> int:
     return m - 2 if i % 2 == 1 else m - 1
 
 
+def _check_dims(m: int, n: int) -> None:
+    if type(m) is not int or type(n) is not int:  # exact type, as TwistMatrix
+        raise FormatError(f"plat width and height must be integers, got m={m!r}, n={n!r}")
+
+
 def is_valid(s: VerticalSphere, m: int, n: int) -> bool:
     """Bounds of the defining arc: 1 <= c_i <= m-2 (odd rows) or m-1 (even),
     with m >= 3 so that both sides are nonempty."""
+    _check_dims(m, n)
     if m < 3 or s.n != n:
         return False
     return all(1 <= x <= _row_max(m, i) for i, x in enumerate(s.c, start=1))
@@ -89,6 +95,7 @@ def regions_between(s: VerticalSphere, t: VerticalSphere) -> int:
 
 def maximal_collection_size(m: int, n: int) -> int:
     """ceil(n/2)*(m-3) + floor(n/2)*(m-2) + 1."""
+    _check_dims(m, n)
     return -(-n // 2) * (m - 3) + (n // 2) * (m - 2) + 1
 
 
@@ -100,6 +107,7 @@ def maximal_collection(m: int, n: int) -> list[VerticalSphere]:
     spheres cobound exactly one twist region.  Requires m >= 4 and odd
     n >= 3; width 3 would give rows with no room to move.
     """
+    _check_dims(m, n)
     if m < 4 or n < 3 or n % 2 == 0:
         raise DimensionsOutOfTheoremRange(
             f"need m >= 4 and odd n >= 3, got m={m}, n={n}")

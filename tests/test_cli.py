@@ -208,6 +208,10 @@ REJECTED = (
        (["hilden", "coset", "FILE", "FILE", "--samples", "2"], THOUSAND_DIGITS, "TooManyDigits")]
     + [(["twobridge", "--rational", v], None, "FormatError")
        for v in ("1e5000", "1e-3000000", "1" * 4301, "9" * 4000 + "e400")]
+    # exactly one source: FILE, --coeffs or --rational
+    + [(["twobridge"], None, "--coeffs"),
+       (["twobridge", "FILE", "--coeffs", "3,-3,3"], EXAMPLE_TEXT, "--coeffs"),
+       (["twobridge", "--coeffs", "3,-3,3", "--rational", "21/8"], None, "--rational")]
 )
 
 

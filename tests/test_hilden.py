@@ -6,7 +6,7 @@ import pytest
 
 from platknot import TwistMatrix, braid_closure, hilden
 from platknot.braid import BraidWord, compose, permutation
-from platknot.errors import IndexParity, IndexRange
+from platknot.errors import FormatError, IndexParity, IndexRange
 from platknot.hilden import (
     HildenMove,
     apply_moves,
@@ -52,6 +52,11 @@ class TestExpand:
 
     def test_h1_allowed_at_last_bridge(self):
         assert len(expand(HildenMove("h1", 7), 8)) == 1
+
+    @pytest.mark.parametrize("index", ["1", 1.0, True, None])
+    def test_index_must_be_exact_int(self, index):
+        with pytest.raises(IndexRange):
+            HildenMove("h2", index)
 
     @pytest.mark.parametrize("mv", hilden_generators(8))
     def test_generators_preserve_bridge_partition(self, mv):
@@ -151,6 +156,12 @@ class TestRandomElement:
         with pytest.raises(IndexRange):
             random_hilden_element(strands, 3, 0)
 
+    @pytest.mark.parametrize("length,seed", [(2.5, 0), (2.0, 0), (True, 0), ("2", 0),
+                                             (2, 0.5), (2, "0"), (2, None)])
+    def test_length_and_seed_must_be_exact_ints(self, length, seed):
+        with pytest.raises(FormatError):
+            random_hilden_element(4, length, seed)
+
     def test_samples_preserve_bridge_partition(self):
         # 1000 samples across seeds; the subgroup must fix {{1,2},...,{7,8}}
         for seed in range(250):
@@ -183,6 +194,11 @@ class TestCosetConsistency:
         assert report.verdict == "provably_distinct"
         assert report.consistent
         assert report.invariants1["determinant"] != report.invariants2["determinant"]
+
+    @pytest.mark.parametrize("samples,seed", [(2.5, 0), (2.0, 0), (False, 0), (2, 0.5), (2, "0")])
+    def test_samples_and_seed_must_be_exact_ints(self, samples, seed):
+        with pytest.raises(FormatError):
+            coset_consistency(M1, M1, samples=samples, seed=seed)
 
     def test_summary_mentions_verdict(self):
         report = coset_consistency(M1, M1, samples=2, seed=0)

@@ -28,6 +28,17 @@ from conftest import address_space_cap, random_small_matrix
 STYLES = list(PlatClosureStyle)
 
 
+def closure_digest(words) -> str:
+    """sha256 over every field a closure reports, for each word in each style."""
+    h = hashlib.sha256()
+    for word in words:
+        for style in STYLES:
+            d = braid_closure(word, style)
+            h.update(repr((d.pd_lines(), d.gauss_lines(), d.signs, d.n_components,
+                           d.free_loops, max_writhe(d))).encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestValidate:
     def test_example_matrix_ok(self, example_matrix):
         validate(example_matrix)
@@ -153,16 +164,25 @@ class TestClosure:
         # bridge pairs, traversal order, orientation and crossing signs of
         # all three styles, over seeded words on 2-10 strands
         rng = random.Random(9)
-        h = hashlib.sha256()
+        words = []
         for _ in range(400):
             strands = rng.choice((2, 4, 6, 8, 10))
-            word = BraidWord(strands, [(rng.randint(1, strands - 1), rng.choice((-2, -1, 1, 2)))
-                                       for _ in range(rng.randint(0, 10))])
-            for style in STYLES:
-                d = braid_closure(word, style)
-                h.update(repr((d.pd_lines(), d.gauss_lines(), d.signs, d.n_components,
-                               d.free_loops, max_writhe(d))).encode() + b"\n")
-        assert h.hexdigest() == "010beac0e5b2cdb3d82b515e602d6cab9879353b1419ddcdc998f0ff6282e954"
+            words.append(BraidWord(strands, [(rng.randint(1, strands - 1), rng.choice((-2, -1, 1, 2)))
+                                             for _ in range(rng.randint(0, 10))]))
+        assert closure_digest(words) == (
+            "010beac0e5b2cdb3d82b515e602d6cab9879353b1419ddcdc998f0ff6282e954")
+
+    def test_plat_closure_conventions_pinned(self):
+        # the same fields over the words of seeded plats: m 2-8, odd n 1-5,
+        # entries -9..9 with zeros, so long twist regions and free circles
+        rng = random.Random(11)
+        words = []
+        for _ in range(120):
+            m, n = rng.randint(2, 8), rng.choice((1, 3, 5))
+            words.append(to_braid_word(TwistMatrix(m, [
+                [rng.randint(-9, 9) for _ in range(m - i % 2)] for i in range(1, n + 1)])))
+        assert closure_digest(words) == (
+            "9a9751638883a3a1ed0c5e9244588b86c3462dce76ef8420156c2f7879d1e121")
 
 
 class TestComponentCount:

@@ -157,3 +157,10 @@ class TestMaximalCollection:
     def test_out_of_range(self, m, n):
         with pytest.raises(DimensionsOutOfTheoremRange):
             maximal_collection(m, n)
+
+    @pytest.mark.parametrize("fn", [maximal_collection, maximal_collection_size,
+                                    lambda m, n: is_valid(S(1, 1, 1), m, n)])
+    @pytest.mark.parametrize("m,n", [(4, 3.0), (4.0, 3), ("4", 3), (4, "3"), (True, 3), (4, None)])
+    def test_dimensions_must_be_exact_ints(self, fn, m, n):
+        with pytest.raises(FormatError):
+            fn(m, n)
