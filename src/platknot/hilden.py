@@ -78,11 +78,9 @@ def apply_moves(b: BraidWord,
                 left: Sequence[HildenMove] = (),
                 right: Sequence[HildenMove] = ()) -> BraidWord:
     """Multiply ``b`` by Hilden generators: (product of left) b (product of
-    right), built once from the runs of all moves (linear in their number)."""
-    runs = [run for mv in left for run in expand(mv, b.strands).runs]
-    runs.extend(b.runs)
-    runs.extend(run for mv in right for run in expand(mv, b.strands).runs)
-    return BraidWord(b.strands, tuple(runs))
+    right), composed once (linear in the number of moves)."""
+    return compose(*(expand(mv, b.strands) for mv in left), b,
+                   *(expand(mv, b.strands) for mv in right))
 
 
 def hilden_generators(strands: int) -> list[HildenMove]:

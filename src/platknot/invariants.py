@@ -1,8 +1,9 @@
 """Diagram invariants and the oracles that check them, in exact integer
 arithmetic: Laurent polynomials with integer coefficients, a brute-force
 Kauffman bracket over all 2^c smoothing states (capped, default 22
-crossings), the Jones polynomial by writhe normalization, and the link
-determinant.
+crossings; a depth-first walk that joins open paths end to end and counts
+a loop whenever a join meets a path's own far end), the Jones polynomial
+by writhe normalization, and the link determinant.
 
 The coset harness takes its determinants from :func:`closure_determinant`,
 a Fox-colouring sweep over a braid word's m bridges, with no diagram built.
@@ -22,7 +23,7 @@ from heapq import heappop, heappush
 from typing import Mapping
 
 from .braid import BraidWord
-from .errors import InternalError, TooManyCrossings
+from .errors import FormatError, InternalError, TooManyCrossings
 from .plat import PlanarDiagram, PlatClosureStyle
 
 __all__ = [
@@ -133,69 +134,56 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
 
-def _state_loop_counts(quadruples, arc_count: int) -> dict[tuple[int, int], int]:
+def _state_loop_counts(quadruples) -> dict[tuple[int, int], int]:
     """Tally (sum of smoothing exponents, closed loops) over all 2^c states.
 
-    Smoothings are explored as a depth-first binary tree sharing prefixes,
-    with a rollback union-find over arc labels; every one of the 2^c leaves
-    is visited (no state merging).  At a crossing X[a,b,c,d] the A-smoothing
-    joins a-b and c-d, the B-smoothing joins a-d and b-c.
+    PD position 4k + j is one end of an arc, and ``mate[e]`` is the far end
+    of the open path that ends at e; it starts by pairing the two positions
+    of each label.  At crossing k the A-smoothing joins positions (4k, 4k+1)
+    and (4k+2, 4k+3), the B-smoothing (4k, 4k+3) and (4k+1, 4k+2).  A join
+    of p and q closes a loop if mate[p] == q, and otherwise splices the two
+    paths into one, undone on return.  The walk is depth-first and visits
+    every one of the 2^c leaves (no state merging).
     """
-    ncross = len(quadruples)
-    if ncross == 0:
+    if not quadruples:
         return {(0, 0): 1}
-    parent = list(range(arc_count + 1))
-    size = [1] * (arc_count + 1)
+    ends: dict[int, list[int]] = {}
+    for pos, label in enumerate(label for quad in quadruples for label in quad):
+        ends.setdefault(label, []).append(pos)
+    mate = [0] * (4 * len(quadruples))
+    for label, pair in ends.items():
+        if len(pair) != 2:
+            raise FormatError(f"PD label {label} is on {len(pair)} arc ends, not 2")
+        mate[pair[0]], mate[pair[1]] = pair[1], pair[0]
+    joins = [((1, b, b + 1, b + 2, b + 3), (-1, b, b + 3, b + 1, b + 2))
+             for b in range(0, len(mate), 4)]
     counts: dict[tuple[int, int], int] = {}
-    joins = [((q[0], q[1], q[2], q[3]), (q[0], q[3], q[1], q[2]))
-             for q in quadruples]
-    last = ncross - 1
+    last = len(joins) - 1
 
     def go(k: int, sigma: int, loops: int) -> None:
-        pair = joins[k]
-        for ds in (1, -1):
-            x, y, z, w = pair[0] if ds == 1 else pair[1]
-            merged1 = merged2 = 0
+        for ds, p, q, r, s in joins[k]:
             lp = loops
-            rx = x
-            while parent[rx] != rx:
-                rx = parent[rx]
-            ry = y
-            while parent[ry] != ry:
-                ry = parent[ry]
-            if rx == ry:
+            mp = mate[p]
+            if mp == q:
                 lp += 1
             else:
-                if size[rx] < size[ry]:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-                size[rx] += size[ry]
-                merged1 = ry
-            rz = z
-            while parent[rz] != rz:
-                rz = parent[rz]
-            rw = w
-            while parent[rw] != rw:
-                rw = parent[rw]
-            if rz == rw:
+                mq = mate[q]
+                mate[mp], mate[mq] = mq, mp
+            mr = mate[r]
+            if mr == s:
                 lp += 1
             else:
-                if size[rz] < size[rw]:
-                    rz, rw = rw, rz
-                parent[rw] = rz
-                size[rz] += size[rw]
-                merged2 = rw
+                ms = mate[s]
+                mate[mr], mate[ms] = ms, mr
             if k == last:
                 key = (sigma + ds, lp)
                 counts[key] = counts.get(key, 0) + 1
             else:
                 go(k + 1, sigma + ds, lp)
-            if merged2:
-                parent[merged2] = merged2
-                size[rz] -= size[merged2]
-            if merged1:
-                parent[merged1] = merged1
-                size[rx] -= size[merged1]
+            if mr != s:
+                mate[mr], mate[ms] = r, s
+            if mp != q:
+                mate[mp], mate[mq] = p, q
 
     go(0, 0, 0)
     return counts
@@ -213,7 +201,7 @@ def kauffman_bracket(diagram: PlanarDiagram, cap: int = BRACKET_CAP) -> LaurentP
         raise TooManyCrossings(c, cap)
     if c == 0 and diagram.free_loops == 0:
         return LaurentPoly.one()
-    counts = _state_loop_counts(diagram.quadruples, diagram.arc_count)
+    counts = _state_loop_counts(diagram.quadruples)
     delta_pow: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
 
     def dpow(k: int) -> LaurentPoly:

@@ -66,6 +66,13 @@ def _check_dims(m: int, n: int) -> None:
         raise FormatError(f"plat width and height must be integers, got m={m!r}, n={n!r}")
 
 
+def _check_theorem_range(m: int, n: int) -> None:
+    _check_dims(m, n)
+    if m < 4 or n < 3 or n % 2 == 0:
+        raise DimensionsOutOfTheoremRange(
+            f"need m >= 4 and odd n >= 3, got m={m}, n={n}")
+
+
 def is_valid(s: VerticalSphere, m: int, n: int) -> bool:
     """Bounds of the defining arc: 1 <= c_i <= m-2 (odd rows) or m-1 (even),
     with m >= 3 so that both sides are nonempty."""
@@ -94,8 +101,8 @@ def regions_between(s: VerticalSphere, t: VerticalSphere) -> int:
 
 
 def maximal_collection_size(m: int, n: int) -> int:
-    """ceil(n/2)*(m-3) + floor(n/2)*(m-2) + 1."""
-    _check_dims(m, n)
+    """ceil(n/2)*(m-3) + floor(n/2)*(m-2) + 1, for m >= 4 and odd n >= 3."""
+    _check_theorem_range(m, n)
     return -(-n // 2) * (m - 3) + (n // 2) * (m - 2) + 1
 
 
@@ -107,10 +114,7 @@ def maximal_collection(m: int, n: int) -> list[VerticalSphere]:
     spheres cobound exactly one twist region.  Requires m >= 4 and odd
     n >= 3; width 3 would give rows with no room to move.
     """
-    _check_dims(m, n)
-    if m < 4 or n < 3 or n % 2 == 0:
-        raise DimensionsOutOfTheoremRange(
-            f"need m >= 4 and odd n >= 3, got m={m}, n={n}")
+    _check_theorem_range(m, n)
     counts = [1] * n
     chain = [VerticalSphere(tuple(counts))]
     for i in range(1, n + 1):

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
-from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure
+from platknot import PlanarDiagram, PlatClosureStyle, TwistMatrix, braid_closure, closure
 from platknot.braid import BraidWord
-from platknot.errors import TooManyCrossings
+from platknot.errors import FormatError, TooManyCrossings
 from platknot.invariants import (
     DELTA,
     LaurentPoly,
@@ -74,6 +75,37 @@ class TestBracket:
         d = closure(TwistMatrix(2, [(8,)]))
         with pytest.raises(TooManyCrossings):
             kauffman_bracket(d, cap=7)
+
+    def test_bracket_pinned(self):
+        # every closure style of seeded words on 2-8 strands, exponents
+        # +-1..+-3, at most 14 crossings; kinks, free circles and 0-crossing
+        # closures included
+        rng = random.Random(1987)
+        h = hashlib.sha256()
+        kinks = free = 0
+        for _ in range(240):
+            strands, runs, crossings = rng.choice((2, 4, 6, 8)), [], 0
+            target = rng.randint(0, 14)
+            while True:
+                e = rng.choice((-3, -2, -1, 1, 2, 3))
+                if crossings + abs(e) > target:
+                    break
+                runs.append((rng.randint(1, strands - 1), e))
+                crossings += abs(e)
+            for style in PlatClosureStyle:
+                d = braid_closure(BraidWord(strands, runs), style)
+                free += d.free_loops > 0
+                kinks += any(len(set(q)) < 4 for q in d.quadruples)
+                h.update(repr(sorted(kauffman_bracket(d).coeffs.items())).encode() + b"\n")
+        assert (kinks, free) == (548, 216)
+        assert h.hexdigest() == (
+            "b8c08134f3a9b772c8437552d7c7d884b5e3f4a10a67a119b04716a622b40002")
+
+    @pytest.mark.parametrize("quad", [(1, 2, 3, 4), (1, 2, 2, 7)])
+    def test_label_not_on_exactly_two_ends(self, quad):
+        d = PlanarDiagram((quad,), (1,), 4, (((0, False), (0, True)),))
+        with pytest.raises(FormatError):
+            kauffman_bracket(d)
 
 
 class TestJones:

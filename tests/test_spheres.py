@@ -153,10 +153,11 @@ class TestMaximalCollection:
                 expected = -(-n // 2) * (m - 3) + (n // 2) * (m - 2) + 1
                 assert len(chain) == expected == maximal_collection_size(m, n)
 
-    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (4, 1)])
-    def test_out_of_range(self, m, n):
+    @pytest.mark.parametrize("fn", [maximal_collection, maximal_collection_size])
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (4, 1), (2, 3), (1, 1), (-5, 3)])
+    def test_out_of_range(self, fn, m, n):
         with pytest.raises(DimensionsOutOfTheoremRange):
-            maximal_collection(m, n)
+            fn(m, n)
 
     @pytest.mark.parametrize("fn", [maximal_collection, maximal_collection_size,
                                     lambda m, n: is_valid(S(1, 1, 1), m, n)])
