@@ -136,7 +136,7 @@ def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> 
               ("determinant", invariants.determinant(diagram))]
     payload = dict(fields)
     if diagram.crossing_count <= args.jones_cap:
-        jv = invariants.jones(diagram, args.jones_cap)
+        jv = invariants.jones(diagram)
         payload["jones"] = {str(e): c for e, c in sorted(jv.coeffs.items())}
         payload["jones-exponent-unit"] = "t^(1/2)"
         fields.append(("jones", jv.format("t", 2)))
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
         help="largest crossing count whose Jones polynomial is computed, "
              f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
+    seed = _shared_option("--seed", type=int, default=0)
     force = _shared_option("--force", action="store_true",
                            help="normalize even outside the uniqueness hypotheses")
     parser = argparse.ArgumentParser(
@@ -346,18 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f'moves multiplied on the left, at most {MAX_MOVES}, e.g. "h2@1,h1@3"')
     p.add_argument("--right", help=f"moves multiplied on the right, at most {MAX_MOVES}")
     p = add("random", _cmd_hilden_random, "seeded random element of the Hilden subgroup",
-            [jones_cap], hsub)
+            [jones_cap, seed], hsub)
     p.add_argument("--strands", type=_int_in(None, 256), required=True,
                    help="even strand count, at most 256")
     p.add_argument("--length", type=_int_in(0, 1000), required=True,
                    help="number of generators multiplied, 0..1000")
-    p.add_argument("--seed", type=int, default=0)
-    p = add("coset", _cmd_hilden_coset, "falsification harness for coset equality", under=hsub)
+    p = add("coset", _cmd_hilden_coset, "falsification harness for coset equality", [seed], hsub)
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--samples", type=_int_in(0, 10_000), default=20,
                    help="Hilden translates checked, 0..10000 (default 20)")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("spheres", _cmd_spheres, "canonical maximal collection of vertical spheres")
     p.add_argument("--m", type=_int_in(None, 100), required=True,

@@ -1,25 +1,26 @@
 """Diagram invariants and the oracles that check them, in exact integer
 arithmetic: Laurent polynomials with integer coefficients, a brute-force
-Kauffman bracket over all 2^c smoothing states (capped, default 22
-crossings; a depth-first walk that joins open paths end to end and counts
-a loop whenever a join meets a path's own far end), the Jones polynomial
-by writhe normalization, and the link determinant.
+Kauffman bracket over all 2^c smoothing states (at most ``BRACKET_CAP``
+crossings), the Jones polynomial by writhe normalization, and the link
+determinant.
 
-The coset harness takes its determinants from :func:`closure_determinant`,
-a Fox-colouring sweep over a braid word's m bridges, with no diagram built.
-:func:`determinant`, its oracle and the determinant of the CLI report, whose
-diagram is built anyway, eliminates the sparse Wirtinger minor of any
-diagram at t = -1 on +-1 pivots, with fraction-free (Bareiss) elimination of the small dense core
-that remains.  The bracket and the Wirtinger determinant are deliberately
-independent computations of overlapping information: |jones(t=-1)| must
-reproduce the determinant on every diagram, split ones included (both are
-0 there), and that cross-check is what lets the rest of the package trust
-its sign and orientation conventions.
+:func:`closure_determinant`, which the coset harness uses, sweeps Fox
+colourings over a braid word's m bridges with no diagram built.  Its oracle
+:func:`determinant`, also the CLI report's, and the bracket read a PD code
+through one table, :func:`_pd_mates`, of the two ends of each label.  The
+determinant walks each over-arc on it to find the Wirtinger generators and
+eliminates the sparse minor at t = -1 on +-1 pivots, with fraction-free
+(Bareiss) elimination of the small core that remains.  Past reading the
+code, the two are deliberately independent: |jones(t=-1)| must reproduce
+the determinant on every diagram, split ones included (both are 0 there),
+and that cross-check lets the package trust its sign and orientation
+conventions.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import comb
 from typing import Mapping
 
 from .braid import BraidWord
@@ -53,10 +54,6 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -134,27 +131,38 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
 
-def _state_loop_counts(quadruples) -> dict[tuple[int, int], int]:
-    """Tally (sum of smoothing exponents, closed loops) over all 2^c states.
-
-    PD position 4k + j is one end of an arc, and ``mate[e]`` is the far end
-    of the open path that ends at e; it starts by pairing the two positions
-    of each label.  At crossing k the A-smoothing joins positions (4k, 4k+1)
-    and (4k+2, 4k+3), the B-smoothing (4k, 4k+3) and (4k+1, 4k+2).  A join
-    of p and q closes a loop if mate[p] == q, and otherwise splices the two
-    paths into one, undone on return.  The walk is depth-first and visits
-    every one of the 2^c leaves (no state merging).
-    """
-    if not quadruples:
-        return {(0, 0): 1}
+def _pd_mates(quadruples) -> list[int]:
+    """``mate[p]`` is the other PD position holding the label at p = 4k + j
+    (label j of crossing k).  Raises FormatError unless every crossing has
+    four labels and every label sits on two positions."""
+    labels = [label for quad in quadruples for label in quad]
+    if len(labels) != 4 * len(quadruples):
+        raise FormatError("a PD crossing does not have 4 arc ends")
     ends: dict[int, list[int]] = {}
-    for pos, label in enumerate(label for quad in quadruples for label in quad):
+    for pos, label in enumerate(labels):
         ends.setdefault(label, []).append(pos)
-    mate = [0] * (4 * len(quadruples))
+    mate = [0] * len(labels)
     for label, pair in ends.items():
         if len(pair) != 2:
             raise FormatError(f"PD label {label} is on {len(pair)} arc ends, not 2")
         mate[pair[0]], mate[pair[1]] = pair[1], pair[0]
+    return mate
+
+
+def _state_loop_counts(quadruples) -> dict[tuple[int, int], int]:
+    """Tally (sum of smoothing exponents, closed loops) over all 2^c states.
+
+    ``mate[e]`` is the far end of the open path that ends at PD position e;
+    it starts as :func:`_pd_mates`.  At crossing k the A-smoothing joins
+    positions (4k, 4k+1) and (4k+2, 4k+3), the B-smoothing (4k, 4k+3) and
+    (4k+1, 4k+2).  A join of p and q closes a loop if mate[p] == q, and
+    otherwise splices the two paths into one, undone on return.  The walk
+    is depth-first and visits every one of the 2^c leaves (no state
+    merging).
+    """
+    if not quadruples:
+        return {(0, 0): 1}
+    mate = _pd_mates(quadruples)
     joins = [((1, b, b + 1, b + 2, b + 3), (-1, b, b + 3, b + 1, b + 2))
              for b in range(0, len(mate), 4)]
     counts: dict[tuple[int, int], int] = {}
@@ -189,40 +197,35 @@ def _state_loop_counts(quadruples) -> dict[tuple[int, int], int]:
     return counts
 
 
-def kauffman_bracket(diagram: PlanarDiagram, cap: int = BRACKET_CAP) -> LaurentPoly:
+def kauffman_bracket(diagram: PlanarDiagram) -> LaurentPoly:
     """Bracket polynomial in A: sum over states of A^sigma * delta^(loops-1).
 
-    Raises TooManyCrossings beyond ``cap`` (2^c states get expensive fast).
-    The 0-crossing unknot gives 1; each extra split circle multiplies by
-    delta = -A^2 - A^-2.
+    Raises TooManyCrossings beyond ``BRACKET_CAP`` (2^c states get
+    expensive fast).  Each split circle adds a loop to every state, and
+    delta^k = (-A^2 - A^-2)^k = (-1)^k sum_i C(k, i) A^(2k - 4i).  The
+    0-crossing unknot gives 1, and so does the empty diagram.
     """
     c = diagram.crossing_count
-    if c > cap:
-        raise TooManyCrossings(c, cap)
-    if c == 0 and diagram.free_loops == 0:
-        return LaurentPoly.one()
-    counts = _state_loop_counts(diagram.quadruples)
-    delta_pow: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-
-    def dpow(k: int) -> LaurentPoly:
-        if k not in delta_pow:
-            delta_pow[k] = dpow(k - 1) * DELTA
-        return delta_pow[k]
-
-    total = LaurentPoly.zero()
-    extra = diagram.free_loops
-    for (sigma, loops), mult in counts.items():
-        total = total + dpow(loops + extra - 1).shift(sigma).scale(mult)
-    return total
+    if c > BRACKET_CAP:
+        raise TooManyCrossings(c, BRACKET_CAP)
+    coeffs: dict[int, int] = {}
+    for (sigma, loops), mult in _state_loop_counts(diagram.quadruples).items():
+        k = max(loops + diagram.free_loops - 1, 0)
+        if k % 2:
+            mult = -mult
+        for i in range(k + 1):
+            e = sigma + 2 * k - 4 * i
+            coeffs[e] = coeffs.get(e, 0) + mult * comb(k, i)
+    return LaurentPoly(coeffs)
 
 
-def jones(diagram: PlanarDiagram, cap: int = BRACKET_CAP) -> LaurentPoly:
+def jones(diagram: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial: (-A)^(-3w) * bracket, substituted A = t^(-1/4).
 
     Returned exponents are in units of t^(1/2) (the half-integer grid);
     they are integers because sigma - 3w is always even.
     """
-    return _normalize_bracket(kauffman_bracket(diagram, cap), diagram.writhe)
+    return _normalize_bracket(kauffman_bracket(diagram), diagram.writhe)
 
 
 def max_writhe(diagram: PlanarDiagram) -> int:
@@ -269,7 +272,7 @@ def _normalize_bracket(bracket: LaurentPoly, w: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def jones_canonical(diagram: PlanarDiagram, cap: int = BRACKET_CAP) -> LaurentPoly:
+def jones_canonical(diagram: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial of the diagram re-oriented to maximal writhe.
 
     This is the Jones polynomial of the closure for a specific orientation
@@ -277,7 +280,7 @@ def jones_canonical(diagram: PlanarDiagram, cap: int = BRACKET_CAP) -> LaurentPo
     happened to orient each component.  Use it when comparing two diagrams
     that should present the same unoriented link.
     """
-    return _normalize_bracket(kauffman_bracket(diagram, cap), max_writhe(diagram))
+    return _normalize_bracket(kauffman_bracket(diagram), max_writhe(diagram))
 
 
 def jones_at_minus_one(poly: LaurentPoly) -> int:
@@ -359,7 +362,8 @@ def determinant(diagram: PlanarDiagram) -> int:
     presentation: one relation per crossing with integer stencil
     (over, under_in, under_out) = (2, -1, -1), one relation and one
     generator deleted.  The oracle of :func:`closure_determinant`, and the
-    determinant of the CLI report; it works on any PD code.
+    determinant of the CLI report; it works on any PD code whose labels
+    each sit on two arc ends, and raises FormatError on any other.
 
     The minor is eliminated on +-1 pivots, pending rows taken smallest first
     from a heap (a row is queued again when an elimination changes it): a
@@ -371,9 +375,9 @@ def determinant(diagram: PlanarDiagram) -> int:
     (or an entirely-over circle) splits the diagram.  A lone crossingless
     circle is the unknot, 1.
     """
+    rows = _wirtinger_minor(diagram.quadruples)  # checks the code first
     if diagram.free_loops:
         return 1 if diagram.free_loops == 1 and not diagram.quadruples else 0
-    rows = _wirtinger_minor(diagram.quadruples)
     if rows is None:
         return 0
     col_rows: dict[int, set[int]] = {j: set() for j in range(len(rows))}
@@ -418,39 +422,38 @@ def determinant(diagram: PlanarDiagram) -> int:
 
 def _wirtinger_minor(quads) -> list[dict[int, int]] | None:
     """The Wirtinger matrix at t = -1, last relation and generator deleted,
-    as {column: nonzero entry} rows; None if a generator is free."""
-    # Wirtinger generators: PD arcs glued along over-strands.
-    aparent: dict[int, int] = {}
+    as {column: nonzero entry} rows; None if an entirely-over circle leaves
+    a generator free.
 
-    def afind(x: int) -> int:
-        root = x
-        while aparent[root] != root:
-            root = aparent[root]
-        while aparent[x] != root:
-            aparent[x], x = root, aparent[x]
-        return root
-
-    for quad in quads:
-        for a in quad:
-            aparent.setdefault(a, a)
-    for _, b, _, d in quads:
-        rb, rd = afind(b), afind(d)
-        if rb != rd:
-            aparent[rd] = rb
-
-    gens: dict[int, int] = {}  # generator root -> column
-    col = {a: gens.setdefault(afind(a), len(gens)) for a in aparent}  # PD arc -> column
-    n_gens = len(gens)
-    if n_gens > len(quads):  # an entirely-over circle
+    A generator (over-arc) is a walk on :func:`_pd_mates` from an under
+    position (even): step to the mate q, and while q is an over position
+    (odd), pass the crossing to q ^ 2 and step again.  Generator k starts at
+    4k + 2, where crossing k's under strand leaves; walks from 4k find new
+    arcs only where under strands disagree in orientation.  A position that
+    no walk reaches lies on an entirely-over circle.
+    """
+    mate = _pd_mates(quads)
+    gen = [-1] * len(mate)  # PD position -> generator (column)
+    cols = 0
+    for p in (*range(2, len(mate), 4), *range(0, len(mate), 4)):
+        if gen[p] >= 0:
+            continue
+        while True:
+            q = mate[p]
+            gen[p] = gen[q] = cols
+            if not q & 1:
+                break
+            p = q ^ 2
+        cols += 1
+    if -1 in gen:
         return None
 
     # first minors at t=-1 agree up to sign, so drop the last row and column
     rows = []
-    for a, b, c, _ in quads[:-1]:
+    for b in range(0, len(mate) - 4, 4):
         row: dict[int, int] = {}
-        for arc, v in ((b, 2), (a, -1), (c, -1)):
-            j = col[arc]
-            if j < n_gens - 1:
+        for j, v in ((gen[b + 1], 2), (gen[b], -1), (gen[b + 2], -1)):
+            if j < cols - 1:
                 row[j] = row.get(j, 0) + v
         rows.append({j: v for j, v in row.items() if v})
     return rows

@@ -188,12 +188,11 @@ class PlanarDiagram:
     quadruples   PD code: arc labels counterclockwise from the incoming
                  under-strand end, one quadruple per crossing, crossings in
                  braid order (row-major over twist regions, top to bottom
-                 inside each region).  Arcs are labelled 1..arc_count in
-                 the order the traversal first meets them.
+                 inside each region).  Arcs are labelled 1..2c (c
+                 crossings) in the order the traversal first meets them.
     signs        crossing signs under the stored orientation: +1 iff the
                  under strand enters one corner counterclockwise after the
                  over strand.
-    arc_count    number of arcs (edges of the 4-valent diagram).
     visits       per component: (crossing index, passes_over) along the
                  traversal, which records the orientation; crossingless
                  circles appear as empty tuples at the end.
@@ -201,7 +200,6 @@ class PlanarDiagram:
 
     quadruples: tuple[tuple[int, int, int, int], ...]
     signs: tuple[int, ...]
-    arc_count: int
     visits: tuple[tuple[tuple[int, bool], ...], ...]
 
     @property
@@ -247,12 +245,12 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     bounded letter view, so it raises TooManyCrossings above
     ``braid.CROSSING_BUDGET`` before building anything.
 
-    Arcs are labelled 1..arc_count in traversal order, which also fixes the
-    component order and orientation.  The first component is entered at the
-    first end of the arc through the leftmost top bridge, each later one at
-    the first end of the first unvisited arc.  Ends are ordered by (segment,
-    crossing, corner); segments run over the top bridges left to right, then
-    over each crossing's two outputs in braid order.
+    Arcs are labelled 1..2*len(word) in traversal order, which also fixes
+    the component order and orientation.  The first component is entered at
+    the first end of the arc through the leftmost top bridge, each later one
+    at the first end of the first unvisited arc.  Ends are ordered by
+    (segment, crossing, corner); segments run over the top bridges left to
+    right, then over each crossing's two outputs in braid order.
     """
     letters = word.letters  # the budget check, before anything is allocated
     top_pairs, bottom_pairs = style.bridges(word.strands)
@@ -324,7 +322,6 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
         quadruples=tuple(tuple(label[4 * k + c] for c in _CCW_FROM[e_under])
                          for k, (e_under, _) in enumerate(entry)),
         signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1 for e_under, e_over in entry),
-        arc_count=len(ends),
         visits=tuple(visits),
     )
 

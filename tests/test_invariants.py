@@ -72,9 +72,9 @@ class TestBracket:
         assert kauffman_bracket(tref_with_circle) == DELTA * kauffman_bracket(tref)
 
     def test_cap_enforced(self):
-        d = closure(TwistMatrix(2, [(8,)]))
+        d = closure(TwistMatrix(2, [(23,)]))
         with pytest.raises(TooManyCrossings):
-            kauffman_bracket(d, cap=7)
+            kauffman_bracket(d)
 
     def test_bracket_pinned(self):
         # every closure style of seeded words on 2-8 strands, exponents
@@ -101,11 +101,27 @@ class TestBracket:
         assert h.hexdigest() == (
             "b8c08134f3a9b772c8437552d7c7d884b5e3f4a10a67a119b04716a622b40002")
 
-    @pytest.mark.parametrize("quad", [(1, 2, 3, 4), (1, 2, 2, 7)])
-    def test_label_not_on_exactly_two_ends(self, quad):
-        d = PlanarDiagram((quad,), (1,), 4, (((0, False), (0, True)),))
+    @pytest.mark.parametrize("oracle", [kauffman_bracket, determinant])
+    @pytest.mark.parametrize("quad", [(1, 2, 3, 4), (1, 2, 2, 7), (1, 1, 1, 1),
+                                      (1, 1, 2, 2, 3, 3), (1, 2, 1)])
+    def test_label_not_on_exactly_two_ends(self, quad, oracle):
+        d = PlanarDiagram((quad,), (1,), (((0, False), (0, True)),))
         with pytest.raises(FormatError):
-            kauffman_bracket(d)
+            oracle(d)
+
+    def test_half_turned_crossings_change_neither_oracle(self):
+        # (a, b, c, d) -> (c, d, a, b) reverses one under strand's PD
+        # direction; smoothings and Fox colourings do not see orientation
+        rng = random.Random(13)
+        nontrivial = 0
+        for _ in range(60):
+            d = closure(random_small_matrix(rng, 12), rng.choice(list(PlatClosureStyle)))
+            quads = tuple(q[2:] + q[:2] if rng.random() < 0.5 else q for q in d.quadruples)
+            turned = PlanarDiagram(quads, d.signs, d.visits)
+            assert kauffman_bracket(turned) == kauffman_bracket(d)
+            assert determinant(turned) == determinant(d)
+            nontrivial += quads != d.quadruples and determinant(d) > 1
+        assert nontrivial > 12
 
 
 class TestJones:

@@ -121,7 +121,7 @@ class TestClosure:
         for quad in d.quadruples:
             for a in quad:
                 seen[a] = seen.get(a, 0) + 1
-        assert set(seen) == set(range(1, d.arc_count + 1))
+        assert set(seen) == set(range(1, 2 * d.crossing_count + 1))
         assert all(v == 2 for v in seen.values())
 
     def test_pd_golden_trefoil(self):
