@@ -60,6 +60,8 @@ class BraidWord:
         out: list[tuple[int, int]] = []
         try:  # costs nothing per well-formed run, unlike a length check
             for index, exp in self.runs:
+                # errors.require_ints' rule, inline: a call per run would show
+                # in every word built (perfbench's cli_session builds ~68 an item)
                 if type(index) is not int or type(exp) is not int or not 0 < index < strands:
                     raise IndexRange(f"run {(index, exp)!r} is not an int generator index in "
                                      f"1..{strands - 1} with an int exponent")

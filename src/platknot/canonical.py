@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DimensionsOutOfTheoremRange, NotHighlyTwisted
-from .plat import TwistMatrix, is_highly_twisted, validate
+from .errors import NotHighlyTwisted
+from .plat import TwistMatrix, check_theorem_range, is_highly_twisted, validate
 
 __all__ = ["SymmetryElement", "apply", "canonical_form", "equivalent", "symmetry_group"]
 
@@ -61,9 +61,7 @@ def canonical_form(mat: TwistMatrix, force: bool = False) -> TwistMatrix:
     """
     validate(mat)
     if not force:
-        if mat.m < 4 or mat.n < 3:
-            raise DimensionsOutOfTheoremRange(
-                f"need m >= 4 and n >= 3, got m={mat.m}, n={mat.n}")
+        check_theorem_range(mat.m, mat.n)
         if not is_highly_twisted(mat, 4):
             raise NotHighlyTwisted("every |a_ij| >= 4 is required")
     return min((apply(g, mat) for g in ELEMENTS), key=lambda t: t.entries())

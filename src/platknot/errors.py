@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one exact-integer rule.
 
 Every error carries a stable machine-readable ``code`` (the class name) so
 the CLI can print uniform diagnostics and scripts can match on them.
+:func:`require_ints` is the rule every integer input obeys: its type is
+exactly ``int``, so a bool or a float is refused, never truncated.
 """
+
+from typing import Iterable
 
 
 class PlatError(Exception):
@@ -89,3 +93,11 @@ class TooManyDigits(PlatError):
 
 class InternalError(PlatError):
     """A mathematical invariant of the package's own construction failed."""
+
+
+def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
+    """Raise ``error`` unless the type of every one of ``values`` is exactly
+    ``int``; the message starts with ``what`` and names the other types."""
+    bad = set(map(type, values)) - {int}
+    if bad:
+        raise error(f"{what} must be of type int, got {', '.join(sorted(t.__name__ for t in bad))}")

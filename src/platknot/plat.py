@@ -20,11 +20,13 @@ from itertools import chain
 
 from .braid import BraidWord, permutation
 from .errors import (
+    DimensionsOutOfTheoremRange,
     EvenHeight,
     FormatError,
     InternalError,
     WidthTooSmall,
     WrongRowLength,
+    require_ints,
 )
 
 __all__ = [
@@ -61,9 +63,7 @@ class TwistMatrix:
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
-        # exact type: bools are ints to Python, and floats must not be truncated
-        if type(self.m) is not int or set(map(type, chain.from_iterable(rows))) - {int}:
-            raise FormatError("twist-matrix width and entries must be integers")
+        require_ints(FormatError, "twist-matrix width and entries", chain((self.m,), *rows))
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -111,8 +111,7 @@ class TwistMatrix:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad twist-matrix JSON: {exc}") from None
         n = obj.get("n", len(rows))
-        if type(m) is not int or type(n) is not int:  # the entries are checked by cls
-            raise FormatError("twist-matrix JSON needs integer m and n")
+        require_ints(FormatError, "twist-matrix JSON m and n", (m, n))  # cls checks the entries
         if n != len(rows):
             raise FormatError(f"n={n} does not match {len(rows)} rows")
         return cls(m, rows)
@@ -134,6 +133,14 @@ def validate(mat: TwistMatrix) -> None:
             raise WrongRowLength(i, m - i % 2, width)
 
 
+def check_theorem_range(m: int, n: int) -> None:
+    """Raise DimensionsOutOfTheoremRange unless width m >= 4 and height n is
+    odd and >= 3, where the uniqueness theorem holds."""
+    if m < 4 or n < 3 or n % 2 == 0:
+        raise DimensionsOutOfTheoremRange(
+            f"need m >= 4 and odd n >= 3, got m={m}, n={n}")
+
+
 def is_highly_twisted(mat: TwistMatrix, c: int) -> bool:
     """True iff every coefficient satisfies |a_ij| >= c."""
     validate(mat)
@@ -151,10 +158,8 @@ def to_braid_word(mat: TwistMatrix) -> BraidWord:
     runs = []
     for i, row in enumerate(mat.rows, start=1):
         first = 2 if i % 2 == 1 else 1
-        for j, a in enumerate(row):
-            if a != 0:
-                runs.append((first + 2 * j, -a))
-    return BraidWord(2 * mat.m, tuple(runs))
+        runs += [(first + 2 * j, -a) for j, a in enumerate(row)]
+    return BraidWord(2 * mat.m, tuple(runs))  # BraidWord drops the zero exponents
 
 
 class PlatClosureStyle(enum.Enum):

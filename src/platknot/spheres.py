@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
-    DimensionsOutOfTheoremRange,
     FormatError,
     IncomparableSpheres,
     InternalError,
+    require_ints,
 )
+from .plat import check_theorem_range, row_width
 
 __all__ = [
     "VerticalSphere",
@@ -44,8 +45,7 @@ class VerticalSphere:
 
     def __post_init__(self):
         c = tuple(self.c)
-        if set(map(type, c)) - {int}:  # exact type, as TwistMatrix: no bools, no floats
-            raise FormatError(f"sphere counts must be integers, got {c}")
+        require_ints(FormatError, "sphere counts", c)
         object.__setattr__(self, "c", c)
 
     @property
@@ -56,30 +56,13 @@ class VerticalSphere:
         return f"S({','.join(str(x) for x in self.c)})"
 
 
-def _row_max(m: int, i: int) -> int:
-    # odd rows have m-1 regions, even rows m; one must stay on the right
-    return m - 2 if i % 2 == 1 else m - 1
-
-
-def _check_dims(m: int, n: int) -> None:
-    if type(m) is not int or type(n) is not int:  # exact type, as TwistMatrix
-        raise FormatError(f"plat width and height must be integers, got m={m!r}, n={n!r}")
-
-
-def _check_theorem_range(m: int, n: int) -> None:
-    _check_dims(m, n)
-    if m < 4 or n < 3 or n % 2 == 0:
-        raise DimensionsOutOfTheoremRange(
-            f"need m >= 4 and odd n >= 3, got m={m}, n={n}")
-
-
 def is_valid(s: VerticalSphere, m: int, n: int) -> bool:
     """Bounds of the defining arc: 1 <= c_i <= m-2 (odd rows) or m-1 (even),
     with m >= 3 so that both sides are nonempty."""
-    _check_dims(m, n)
+    require_ints(FormatError, "plat width and height", (m, n))
     if m < 3 or s.n != n:
         return False
-    return all(1 <= x <= _row_max(m, i) for i, x in enumerate(s.c, start=1))
+    return all(1 <= x <= row_width(m, i) - 1 for i, x in enumerate(s.c, start=1))
 
 
 def disjointly_realizable(s: VerticalSphere, t: VerticalSphere) -> bool:
@@ -102,7 +85,8 @@ def regions_between(s: VerticalSphere, t: VerticalSphere) -> int:
 
 def maximal_collection_size(m: int, n: int) -> int:
     """ceil(n/2)*(m-3) + floor(n/2)*(m-2) + 1, for m >= 4 and odd n >= 3."""
-    _check_theorem_range(m, n)
+    require_ints(FormatError, "plat width and height", (m, n))
+    check_theorem_range(m, n)
     return -(-n // 2) * (m - 3) + (n // 2) * (m - 2) + 1
 
 
@@ -114,13 +98,13 @@ def maximal_collection(m: int, n: int) -> list[VerticalSphere]:
     spheres cobound exactly one twist region.  Requires m >= 4 and odd
     n >= 3; width 3 would give rows with no room to move.
     """
-    _check_theorem_range(m, n)
+    size = maximal_collection_size(m, n)  # checks m and n
     counts = [1] * n
     chain = [VerticalSphere(tuple(counts))]
     for i in range(1, n + 1):
-        while counts[i - 1] < _row_max(m, i):
+        while counts[i - 1] < row_width(m, i) - 1:
             counts[i - 1] += 1
             chain.append(VerticalSphere(tuple(counts)))
-    if len(chain) != maximal_collection_size(m, n):
+    if len(chain) != size:
         raise InternalError(f"chain of {len(chain)} spheres misses the size formula")
     return chain

@@ -33,6 +33,7 @@ from .errors import (
     InternalError,
     InvalidCoefficients,
     NotRepresentable,
+    require_ints,
 )
 from .plat import TwistMatrix, validate
 
@@ -54,8 +55,7 @@ def _int_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
     except TypeError:
         raise InvalidCoefficients(
             f"coefficients must be an iterable of integers, got {type(coeffs).__name__}") from None
-    if set(map(type, coeffs)) - {int}:  # exact type, as TwistMatrix: no bools, no floats
-        raise InvalidCoefficients(f"coefficients must be integers, got {list(coeffs)}")
+    require_ints(InvalidCoefficients, "coefficients", coeffs)
     return coeffs
 
 
