@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings
+from .errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings, shown
 
 __all__ = [
     "CROSSING_BUDGET",
@@ -56,15 +56,15 @@ class BraidWord:
     def __post_init__(self):
         strands = self.strands
         if type(strands) is not int or strands < 2 or strands % 2:
-            raise IndexRange(f"strands must be an even int >= 2, got {strands!r}")
+            raise IndexRange(f"strands must be an even int >= 2, got {shown(strands)}")
         out: list[tuple[int, int]] = []
         try:  # costs nothing per well-formed run, unlike a length check
             for index, exp in self.runs:
                 # errors.require_ints' rule, inline: a call per run would show
                 # in every word built (perfbench's cli_session builds ~68 an item)
                 if type(index) is not int or type(exp) is not int or not 0 < index < strands:
-                    raise IndexRange(f"run {(index, exp)!r} is not an int generator index in "
-                                     f"1..{strands - 1} with an int exponent")
+                    raise IndexRange(f"run {shown((index, exp))} is not an int generator index "
+                                     f"in 1..{shown(strands - 1)} with an int exponent")
                 if not exp:
                     continue
                 if out and out[-1][0] == index and (out[-1][1] > 0) == (exp > 0):
@@ -156,8 +156,10 @@ def parse_word(text: str, strands: int) -> BraidWord:
         mt = _TOKEN.match(tok)
         if not mt:
             raise FormatError(f"bad braid token {tok!r}")
-        exp = int(mt.group(2)) if mt.group(2) is not None else 1
-        runs.append((int(mt.group(1)), exp))
+        try:  # an int past Python's digit limit raises ValueError
+            runs.append((int(mt.group(1)), int(mt.group(2) or 1)))
+        except ValueError:
+            raise FormatError(f"braid token of {len(tok)} characters is too long") from None
     return BraidWord(strands, tuple(runs))
 
 

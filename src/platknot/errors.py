@@ -3,10 +3,12 @@
 Every error carries a stable machine-readable ``code`` (the class name) so
 the CLI can print uniform diagnostics and scripts can match on them.
 :func:`require_ints` is the rule every integer input obeys: its type is
-exactly ``int``, so a bool or a float is refused, never truncated.
+exactly ``int``, so a bool or a float is refused, never truncated.  Messages
+render values through :func:`shown`, so an int too long for Python to print
+never turns an error into a bare ``ValueError``.
 """
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class PlatError(Exception):
@@ -39,7 +41,7 @@ class WrongRowLength(PlatError):
     def __init__(self, row: int, expected: int, got: int):
         self.row = row
         super().__init__(
-            f"row {row} must have {expected} entries, got {got}")
+            f"row {row} must have {shown(expected)} entries, got {got}")
 
 
 class EvenHeight(PlatError):
@@ -76,7 +78,11 @@ class TooManyCrossings(PlatError):
     def __init__(self, crossings: int, cap: int):
         self.crossings = crossings
         self.cap = cap
-        super().__init__(f"{crossings} crossings exceeds the cap of {cap}")
+        super().__init__(f"{shown(crossings)} crossings exceeds the cap of {cap}")
+
+
+class TooMuchWork(PlatError):
+    """An input-only estimate of a computation's work exceeds its budget."""
 
 
 class DimensionMismatch(PlatError):
@@ -93,6 +99,15 @@ class TooManyDigits(PlatError):
 
 class InternalError(PlatError):
     """A mathematical invariant of the package's own construction failed."""
+
+
+def shown(value, text: Callable[[object], str] = repr) -> str:
+    """``text(value)``, or a placeholder naming the type of a value that holds
+    an int too long for Python to print."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:

@@ -24,7 +24,7 @@ from math import comb
 from typing import Mapping
 
 from .braid import BraidWord
-from .errors import FormatError, InternalError, TooManyCrossings
+from .errors import FormatError, InternalError, TooManyCrossings, shown
 from .plat import PlanarDiagram, PlatClosureStyle
 
 __all__ = [
@@ -144,7 +144,7 @@ def _pd_mates(quadruples) -> list[int]:
     mate = [0] * len(labels)
     for label, pair in ends.items():
         if len(pair) != 2:
-            raise FormatError(f"PD label {label} is on {len(pair)} arc ends, not 2")
+            raise FormatError(f"PD label {shown(label)} is on {len(pair)} arc ends, not 2")
         mate[pair[0]], mate[pair[1]] = pair[1], pair[0]
     return mate
 
@@ -233,8 +233,13 @@ def max_writhe(diagram: PlanarDiagram) -> int:
 
     Self-crossing signs never change; a crossing between two components
     flips sign when exactly one of them reverses.  The maximum is intrinsic
-    to the unoriented diagram, unlike the traversal-assigned writhe.
+    to the unoriented diagram, unlike the traversal-assigned writhe.  It
+    tries up to 2^(k-1) orientations of k linked components, so it raises
+    TooManyCrossings beyond ``BRACKET_CAP`` crossings, as the bracket does.
     """
+    c = diagram.crossing_count
+    if c > BRACKET_CAP:
+        raise TooManyCrossings(c, BRACKET_CAP)
     comps = [[0, 0] for _ in diagram.signs]  # per crossing: [under, over] component
     for ci, comp in enumerate(diagram.visits):
         for k, over in comp:

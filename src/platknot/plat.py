@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 from .braid import BraidWord, permutation
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     WidthTooSmall,
     WrongRowLength,
     require_ints,
+    shown,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ class TwistMatrix:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TwistMatrix":
         if obj.get("plat-format", 1) != 1:
-            raise FormatError(f"unsupported plat-format {obj.get('plat-format')!r}")
+            raise FormatError(f"unsupported plat-format {shown(obj.get('plat-format'))}")
         try:
             m, rows = obj["m"], [tuple(r) for r in obj["rows"]]
         except (KeyError, TypeError) as exc:
@@ -113,7 +114,7 @@ class TwistMatrix:
         n = obj.get("n", len(rows))
         require_ints(FormatError, "twist-matrix JSON m and n", (m, n))  # cls checks the entries
         if n != len(rows):
-            raise FormatError(f"n={n} does not match {len(rows)} rows")
+            raise FormatError(f"n={shown(n)} does not match {len(rows)} rows")
         return cls(m, rows)
 
     def to_json_dict(self) -> dict:
@@ -124,7 +125,7 @@ class TwistMatrix:
 def validate(mat: TwistMatrix) -> None:
     """Raise on the first structural violation; None means well formed."""
     if mat.m < 2:
-        raise WidthTooSmall(f"width m must be >= 2, got {mat.m}")
+        raise WidthTooSmall(f"width m must be >= 2, got {shown(mat.m)}")
     if mat.n < 1 or mat.n % 2 == 0:
         raise EvenHeight(f"height n must be odd and >= 1, got {mat.n}")
     m = mat.m
@@ -138,7 +139,7 @@ def check_theorem_range(m: int, n: int) -> None:
     odd and >= 3, where the uniqueness theorem holds."""
     if m < 4 or n < 3 or n % 2 == 0:
         raise DimensionsOutOfTheoremRange(
-            f"need m >= 4 and odd n >= 3, got m={m}, n={n}")
+            f"need m >= 4 and odd n >= 3, got m={shown(m)}, n={shown(n)}")
 
 
 def is_highly_twisted(mat: TwistMatrix, c: int) -> bool:
@@ -201,11 +202,30 @@ class PlanarDiagram:
     visits       per component: (crossing index, passes_over) along the
                  traversal, which records the orientation; crossingless
                  circles appear as empty tuples at the end.
+
+    Construction raises FormatError unless there is one sign of +1 or -1
+    per crossing and ``visits`` passes every crossing exactly once under
+    and once over.  The PD labels are checked where they are read, by the
+    invariant oracles.
     """
 
     quadruples: tuple[tuple[int, int, int, int], ...]
     signs: tuple[int, ...]
     visits: tuple[tuple[tuple[int, bool], ...], ...]
+
+    def __post_init__(self):
+        try:
+            passes = sorted(chain.from_iterable(self.visits))
+            c = len(self.quadruples)
+            ok = (len(self.signs) == c and set(self.signs) <= {1, -1}
+                  and passes == list(product(range(c), (False, True))))
+        except TypeError:  # a field of the wrong shape, or passes that do not compare
+            ok = False
+        if not ok:
+            raise FormatError("signs and visits must give every crossing a sign of +1 or -1 "
+                              "and one under and one over pass")
+        require_ints(FormatError, "crossing signs and visited crossings",
+                     chain(self.signs, (k for k, _ in passes)))
 
     @property
     def crossing_count(self) -> int:

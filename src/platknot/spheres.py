@@ -24,6 +24,7 @@ from .errors import (
     IncomparableSpheres,
     InternalError,
     require_ints,
+    shown,
 )
 from .plat import check_theorem_range, row_width
 
@@ -79,7 +80,7 @@ def regions_between(s: VerticalSphere, t: VerticalSphere) -> int:
     if s.n != t.n:
         raise DimensionMismatch(f"heights differ: {s.n} vs {t.n}")
     if not all(a <= b for a, b in zip(s.c, t.c)):
-        raise IncomparableSpheres(f"{s} is not componentwise <= {t}")
+        raise IncomparableSpheres(f"{shown(s, str)} is not componentwise <= {shown(t, str)}")
     return sum(b - a for a, b in zip(s.c, t.c))
 
 

@@ -34,6 +34,7 @@ from .errors import (
     InvalidCoefficients,
     NotRepresentable,
     require_ints,
+    shown,
 )
 from .plat import TwistMatrix, validate
 
@@ -74,7 +75,7 @@ def cf_evaluate(coeffs: Iterable[int]) -> Fraction:
     p, q = coeffs[-1], 1
     for a in reversed(coeffs[:-1]):
         if p == 0:
-            raise DivisionByZeroTail(f"tail of {list(coeffs)} evaluates to 0")
+            raise DivisionByZeroTail(f"tail of {shown(list(coeffs))} evaluates to 0")
         p, q = a * p + q, p
     return Fraction(p, q)
 
@@ -96,8 +97,8 @@ def cf_reconstruct(r: Fraction | int) -> tuple[int, ...]:
     while True:
         q, rem = divmod(num, den)
         if 2 * rem == den:
-            raise NotRepresentable(
-                f"{Fraction(num, den)} is equidistant from {q} and {q + 1}; no nearest integer")
+            raise NotRepresentable(f"{shown(Fraction(num, den), str)} is equidistant from "
+                                   f"{shown(q)} and {shown(q + 1)}; no nearest integer")
         a = q if 2 * rem < den else q + 1
         if abs(a) < 3:
             raise NotRepresentable(

@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import platknot
+from platknot import TwistMatrix
 from platknot.cli import main
+from platknot.errors import PlatError
+from platknot.plat import row_width
 
-from conftest import address_space_cap
+from conftest import address_space_cap, random_matrix
 
 
 @pytest.fixture
@@ -269,6 +277,18 @@ def test_consecutive_calls_share_no_options(tmp_path, capsys):
     assert outs[1] == outs[2] != outs[0]
 
 
+def test_hilden_coset_on_60x61_plats_with_5_digit_twists_exits_2_fast(tmp_path):
+    # 3.8M colouring bits per closure determinant, 74 s each on a 2-vCPU VM;
+    # the timeout fails a missing bound fast instead of running for an hour
+    rng = random.Random(60)
+    files = [write_plat(tmp_path, f"{k}.plat",
+                        random_matrix(rng, 60, 61, 10_000, 99_999).to_text()) for k in "ab"]
+    env = {**os.environ, "PYTHONPATH": str(Path(platknot.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "platknot.cli", "hilden", "coset", *files],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "error: TooMuchWork:" in proc.stderr
+
+
 def test_import_platknot_builds_no_parser():
     code = ("import sys, platknot; "
             "print(sorted({'argparse', 'platknot.cli'} & set(sys.modules)))")
@@ -288,3 +308,106 @@ class TestSpheres:
     def test_out_of_range(self, capsys):
         assert main(["spheres", "--m", "3", "--n", "3"]) == 2
         assert "DimensionsOutOfTheoremRange" in capsys.readouterr().err
+
+
+# -- boundary fuzz: generated matrix files, text and JSON, well formed or not.
+# m, n <= 12 and |a| <= 10^6 keep every example short: the crossing budget
+# stops braid expansion above 10,000 crossings before any work.
+_ODD_VALUES = st.one_of(st.floats(), st.booleans(), st.none(),
+                        st.lists(st.integers(-9, 9), max_size=2))
+_NOISE = st.sampled_from(["", "   ", "# a comment", "#", "\t"])
+
+
+@st.composite
+def _matrix_fields(draw):
+    """(m, n, rows) of a plat, well formed or with one defect: an entry, a
+    row length, m or n of the wrong value or type."""
+    defect = draw(st.sampled_from([None] * 6 + ["entry", "widths", "m", "n"]))
+    m, n = draw(st.integers(2, 12)), draw(st.sampled_from([1, 3, 5, 7, 9, 11]))
+    entries = draw(st.sampled_from([
+        st.integers(-3, 3),                                        # small: Jones computed
+        st.builds(lambda s, a: s * a, st.sampled_from([-1, 1]), st.integers(4, 9)),  # canon
+        st.integers(-10 ** 6, 10 ** 6)]))
+    if defect == "widths":
+        widths = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    else:
+        widths = [row_width(m, i) for i in range(1, n + 1)]
+    rows = [draw(st.lists(entries, min_size=w, max_size=w)) for w in widths]
+    if defect == "entry" and rows[0]:
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(_ODD_VALUES)
+    if defect == "m":
+        m = draw(_ODD_VALUES | st.integers(-3, 15))
+    if defect == "n":
+        n = draw(_ODD_VALUES | st.integers(-3, 15))
+    return m, n, rows
+
+
+@st.composite
+def _plat_texts(draw):
+    """The text format of generated fields, with comments and blank lines."""
+    m, n, rows = draw(_matrix_fields())
+    lines = []
+    for fields in [(m, n), *rows]:
+        lines += draw(st.lists(_NOISE, max_size=2))
+        line = " ".join(map(str, fields))
+        lines.append(line + draw(st.sampled_from(["", "  # note", "#"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _plat_json_dicts(draw):
+    m, n, rows = draw(_matrix_fields())
+    obj = {"m": m, "rows": rows}
+    if draw(st.booleans()):
+        obj["n"] = n
+    if draw(st.integers(0, 4)) == 0:
+        obj["plat-format"] = draw(st.sampled_from([1, 2, "1", None]))
+    return obj
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@_FUZZ
+@given(text=_plat_texts())
+def test_from_text_returns_a_matrix_or_a_coded_error(text):
+    try:
+        assert isinstance(TwistMatrix.from_text(text), TwistMatrix)
+    except PlatError:
+        pass
+
+
+@_FUZZ
+@given(obj=_plat_json_dicts())
+def test_from_json_dict_returns_a_matrix_or_a_coded_error(obj):
+    try:
+        assert isinstance(TwistMatrix.from_json_dict(obj), TwistMatrix)
+    except PlatError:
+        pass
+
+
+FUZZ_COMMANDS = (["validate", "FILE"], ["canon", "FILE"], ["equiv", "FILE", "FILE"],
+                 ["symmetries", "FILE"], ["braid", "FILE"], ["twobridge", "FILE"],
+                 ["invariants", "FILE", "--jones-cap", "10"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.plat"
+
+
+@settings(_FUZZ, max_examples=100)
+@given(content=_plat_texts() | _plat_json_dicts().map(json.dumps))
+def test_every_command_exits_0_1_or_2_with_a_code(fuzz_file, content):
+    # an exception escaping main fails the test
+    fuzz_file.write_text(content)
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([str(fuzz_file) if a == "FILE" else a for a in argv])
+        assert status in (0, 1, 2), argv
+        if status == 2:
+            assert re.fullmatch(r"error: [A-Z][A-Za-z]+: [^\n]*\n", err.getvalue()), argv
+        else:
+            assert err.getvalue() == "" and out.getvalue(), argv

@@ -6,7 +6,7 @@ import pytest
 
 from platknot import TwistMatrix, braid_closure, hilden
 from platknot.braid import BraidWord, compose, permutation
-from platknot.errors import FormatError, IndexParity, IndexRange
+from platknot.errors import FormatError, IndexParity, IndexRange, TooMuchWork
 from platknot.hilden import (
     HildenMove,
     apply_moves,
@@ -17,6 +17,7 @@ from platknot.hilden import (
 )
 from platknot.invariants import determinant, jones_canonical
 
+from conftest import random_matrix
 from test_invariants import diagram_is_connected
 
 BRIDGE_PARTITION_8 = {frozenset({1, 2}), frozenset({3, 4}),
@@ -220,3 +221,18 @@ def test_coset_cost_does_not_grow_with_the_twist():
         tracemalloc.stop()
     assert report.consistent and report.verdict == "provably_distinct"
     assert peak < 2_000_000
+
+
+def test_coset_work_is_bounded_before_any_colouring(monkeypatch):
+    # 120 colouring bits for M1, so 40,000 samples are far over the budget
+    def unreachable(*args):
+        raise AssertionError("coloured before the work bound")
+    monkeypatch.setattr(hilden, "closure_determinant", unreachable)
+    with pytest.raises(TooMuchWork):
+        coset_consistency(M1, M1, samples=40_000)
+
+
+def test_coset_budget_admits_a_12x13_plat_with_twists_up_to_2e5():
+    mat = random_matrix(random.Random(12), 12, 13, 150_000, 200_000)
+    report = coset_consistency(mat, mat, samples=20, seed=1)
+    assert report.consistent and report.verdict == "same_coset"

@@ -109,6 +109,21 @@ class TestBracket:
         with pytest.raises(FormatError):
             oracle(d)
 
+    @pytest.mark.parametrize("signs, visits", [
+        ((1,), (((3, False), (3, True)),)),           # visits crossing 3 of 1
+        ((1, 1, 1), (((0, False), (0, True)),)),       # three signs for one crossing
+        ((2,), (((0, False), (0, True)),)),            # a sign other than +-1
+        ((True,), (((0, False), (0, True)),)),         # a bool sign
+        ((1,), (((0, False), (0, False)),)),           # no over pass
+        ((1,), (((0, False),), ((0, True), (0, True)))),  # two over passes, split
+        ((1,), (((0.0, False), (0, True)),)),          # a float crossing
+        ((1,), ((0, False, 0, True),)),                # not (crossing, over) pairs
+        ((1,), None),
+    ])
+    def test_signs_and_visits_checked_when_built(self, signs, visits):
+        with pytest.raises(FormatError):
+            PlanarDiagram(((1, 2, 2, 1),), signs, visits)
+
     def test_half_turned_crossings_change_neither_oracle(self):
         # (a, b, c, d) -> (c, d, a, b) reverses one under strand's PD
         # direction; smoothings and Fox colourings do not see orientation
@@ -160,6 +175,13 @@ class TestWrithe:
     def test_max_writhe_on_links(self, diagram, stored, best):
         d = diagram()
         assert d.writhe == stored and max_writhe(d) == best
+
+    def test_max_writhe_is_capped_before_it_enumerates_orientations(self):
+        # a 13-wide chain of 2-twists: 24 crossings, 12 linked components
+        d = closure(TwistMatrix(13, [(2,) * 12]))
+        assert d.crossing_count == 24
+        with pytest.raises(TooManyCrossings):
+            max_writhe(d)
 
     def test_mirror_negates(self):
         rng = random.Random(23)
