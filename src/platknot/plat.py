@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
+from operator import itemgetter
 
 from .braid import BraidWord, permutation
 from .errors import (
@@ -54,8 +55,9 @@ class TwistMatrix:
     """Coefficient matrix of a plat in standard form.
 
     Construction does not enforce the row-length pattern; call
-    :func:`validate` (all operations do).  Entries must be ``int`` (anything
-    else raises FormatError) and may be zero: the invariant oracle runs on
+    :func:`validate` (all operations do).  ``rows`` must be an iterable of
+    iterables and the width and entries must be ``int`` (anything else
+    raises FormatError); entries may be zero: the invariant oracle runs on
     small, non-highly-twisted diagrams.
     """
 
@@ -63,7 +65,10 @@ class TwistMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:  # rows, or one of them, is not iterable
+            raise FormatError("twist-matrix rows must be an iterable of rows of entries") from None
         require_ints(FormatError, "twist-matrix width and entries", chain((self.m,), *rows))
         object.__setattr__(self, "rows", rows)
 
@@ -145,7 +150,7 @@ def check_theorem_range(m: int, n: int) -> None:
 def is_highly_twisted(mat: TwistMatrix, c: int) -> bool:
     """True iff every coefficient satisfies |a_ij| >= c."""
     validate(mat)
-    return min(map(abs, mat.entries())) >= c  # validate leaves row 1 non-empty
+    return min(map(abs, chain.from_iterable(mat.rows))) >= c  # validate leaves row 1 non-empty
 
 
 def to_braid_word(mat: TwistMatrix) -> BraidWord:
@@ -205,8 +210,8 @@ class PlanarDiagram:
 
     Construction raises FormatError unless there is one sign of +1 or -1
     per crossing and ``visits`` passes every crossing exactly once under
-    and once over.  The PD labels are checked where they are read, by the
-    invariant oracles.
+    and once over, with each pass flag exactly ``False`` or ``True``.  The
+    PD labels are checked where they are read, by the invariant oracles.
     """
 
     quadruples: tuple[tuple[int, int, int, int], ...]
@@ -218,12 +223,14 @@ class PlanarDiagram:
             passes = sorted(chain.from_iterable(self.visits))
             c = len(self.quadruples)
             ok = (len(self.signs) == c and set(self.signs) <= {1, -1}
-                  and passes == list(product(range(c), (False, True))))
+                  and passes == list(product(range(c), (False, True)))
+                  # bool has no subclasses, so this is the exact-type test
+                  and all(map(isinstance, map(itemgetter(1), passes), repeat(bool))))
         except TypeError:  # a field of the wrong shape, or passes that do not compare
             ok = False
         if not ok:
             raise FormatError("signs and visits must give every crossing a sign of +1 or -1 "
-                              "and one under and one over pass")
+                              "and one under (False) and one over (True) pass")
         require_ints(FormatError, "crossing signs and visited crossings",
                      chain(self.signs, (k for k, _ in passes)))
 

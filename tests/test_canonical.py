@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platknot import TwistMatrix, closure
 from platknot.canonical import (
@@ -14,6 +15,7 @@ from platknot.canonical import (
 )
 from platknot.errors import DimensionsOutOfTheoremRange, NotHighlyTwisted
 from platknot.invariants import determinant, jones_canonical
+from platknot.plat import row_width
 
 from conftest import random_matrix
 
@@ -122,3 +124,24 @@ class TestSymmetryGroup:
             group = set(symmetry_group(mat))
             assert ID in group
             assert all(klein_product(g, h) in group for g in group for h in group)
+
+
+@st.composite
+def any_matrices(draw):
+    """Well-formed matrices of width 2-9 and odd height 1-9, zero entries
+    allowed: inside and outside the uniqueness theorem's range."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.sampled_from(range(1, 10, 2)))
+    return TwistMatrix(m, [draw(st.lists(st.integers(-9, 9), min_size=row_width(m, i),
+                                         max_size=row_width(m, i)))
+                           for i in range(1, n + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_matrices())
+def test_row_comparisons_agree_with_apply(mat):
+    # apply, which builds and checks each image, is the oracle for the
+    # row-tuple comparisons of canonical_form and symmetry_group
+    images = [apply(g, mat) for g in ELEMENTS]
+    assert canonical_form(mat, force=True) == min(images, key=lambda t: t.entries())
+    assert symmetry_group(mat) == tuple(g for g, t in zip(ELEMENTS, images) if t == mat)

@@ -117,6 +117,8 @@ class TestBracket:
         ((1,), (((0, False), (0, False)),)),           # no over pass
         ((1,), (((0, False),), ((0, True), (0, True)))),  # two over passes, split
         ((1,), (((0.0, False), (0, True)),)),          # a float crossing
+        ((1,), (((0, 0.0), (0, 1.0)),)),               # float pass flags
+        ((1,), (((0, 0), (0, 1)),)),                   # int pass flags
         ((1,), ((0, False, 0, True),)),                # not (crossing, over) pairs
         ((1,), None),
     ])

@@ -226,6 +226,11 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             TwistMatrix(2, [(entry,)])
 
+    @pytest.mark.parametrize("rows", [None, [1], [[1], 2]])
+    def test_rows_not_an_iterable_of_rows_rejected(self, rows):
+        with pytest.raises(FormatError):
+            TwistMatrix(2, rows)
+
     @pytest.mark.parametrize("m", [4.0, True, "4"])
     def test_non_integer_width_rejected(self, m):
         with pytest.raises(FormatError):
