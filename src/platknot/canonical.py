@@ -11,11 +11,12 @@ change under any of the four rotations.
 
 For 4-highly twisted plats of width >= 4 and odd height >= 3 the rotation
 orbit is a complete isotopy invariant, so the orbit minimum is a canonical
-form and equality of canonical forms decides equivalence.
+form, and one canonical form plus an orbit test decides equivalence: the
+other matrix is equivalent iff one of its four images is that minimum.
 
 :func:`apply` is the public action: it returns a checked matrix, and the
-tests use it as the oracle.  :func:`canonical_form` and
-:func:`symmetry_group` compare row tuples; the latter builds no matrix.
+tests use it as the oracle.  The other functions compare row tuples;
+:func:`equivalent` builds no matrix beyond one canonical form.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
     return TwistMatrix(mat.m, _image_rows(g, mat.rows))
 
 
+def _check_hypotheses(mat: TwistMatrix, force: bool) -> None:
+    """Raise unless ``mat`` is well formed and, without ``force``, inside the
+    uniqueness theorem's hypotheses."""
+    validate(mat)
+    if not force:
+        check_theorem_range(mat.m, mat.n)
+        if not is_highly_twisted(mat, 4):
+            raise NotHighlyTwisted("every |a_ij| >= 4 is required")
+
+
 def canonical_form(mat: TwistMatrix, force: bool = False) -> TwistMatrix:
     """Lexicographically least matrix in the rotation orbit of ``mat``.
 
@@ -68,11 +79,7 @@ def canonical_form(mat: TwistMatrix, force: bool = False) -> TwistMatrix:
     case the result is a normal form of the diagram only, with no
     knot-level guarantee.
     """
-    validate(mat)
-    if not force:
-        check_theorem_range(mat.m, mat.n)
-        if not is_highly_twisted(mat, 4):
-            raise NotHighlyTwisted("every |a_ij| >= 4 is required")
+    _check_hypotheses(mat, force)
     # All four images have the same row widths (H sends row i to row n+1-i,
     # of the same parity since n is odd; V keeps every width), so comparing
     # row tuples orders them as comparing their flattened entries would.
@@ -83,9 +90,14 @@ def equivalent(mat1: TwistMatrix, mat2: TwistMatrix, force: bool = False) -> boo
     """Do the two plats close up to the same knot or link?
 
     True iff the canonical forms coincide; within the theorem's hypotheses
-    this equals ambient-isotopy equivalence of the plat closures.
+    this equals ambient-isotopy equivalence of the plat closures.  Orbits
+    are equal or disjoint, so ``mat1``'s orbit minimum lies in ``mat2``'s
+    orbit exactly when the minima coincide: one canonical form and an orbit
+    test over row tuples decide it, after ``mat2`` passes the same checks.
     """
-    return canonical_form(mat1, force) == canonical_form(mat2, force)
+    canon = canonical_form(mat1, force)
+    _check_hypotheses(mat2, force)  # checked rows fix the width: row 1 has m - 1 entries
+    return any(_image_rows(g, mat2.rows) == canon.rows for g in ELEMENTS)
 
 
 def symmetry_group(mat: TwistMatrix) -> tuple[SymmetryElement, ...]:

@@ -192,6 +192,10 @@ def _cmd_twobridge(args) -> int:
         mat = _load_matrix(args.file)
         coeffs = list(twobridge.left_boundary_coeffs(mat) if args.side == "left"
                       else twobridge.right_boundary_coeffs(mat))
+    limit, digits = sys.get_int_max_str_digits(), twobridge.min_numerator_digits(coeffs)
+    if limit and digits > limit:  # no output could be printed: refuse before the work
+        raise TooManyDigits(f"the Schubert pair's numerator has at least {digits} digits, "
+                            f"over Python's limit of {limit}")
     pair = sorted(twobridge.schubert_pair(coeffs))
     with _digit_limit():
         _emit(args,

@@ -110,6 +110,10 @@ class TwistMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TwistMatrix":
+        """The matrix of a parsed JSON object; FormatError for anything
+        else, a non-dict ``obj`` included."""
+        if not isinstance(obj, dict):
+            raise FormatError(f"twist-matrix JSON must be an object, got {type(obj).__name__}")
         if obj.get("plat-format", 1) != 1:
             raise FormatError(f"unsupported plat-format {shown(obj.get('plat-format'))}")
         try:

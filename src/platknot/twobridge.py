@@ -42,6 +42,7 @@ __all__ = [
     "cf_evaluate",
     "cf_reconstruct",
     "schubert_pair",
+    "min_numerator_digits",
     "twobridge_equivalent",
     "left_boundary_coeffs",
     "right_boundary_coeffs",
@@ -137,6 +138,20 @@ def schubert_pair(coeffs: Iterable[int]) -> frozenset[Fraction]:
     if p1 == 0 or q0 == 0:  # impossible while every |a_i| >= 3
         raise InternalError(f"zero convergent denominator for {list(coeffs)}")
     return frozenset((Fraction(p0, q0), Fraction(p0, p1)))
+
+
+def min_numerator_digits(coeffs: Iterable[int]) -> int:
+    """A lower bound on the decimal digits of |p_n|, the numerator of both
+    Schubert fractions (coprime to q_n and to p_(n-1)), after the checks of
+    :func:`schubert_pair`; linear time, no convergent pass.
+
+    While |p_(k-1)| >= |p_(k-2)|, |p_k| >= |a_k| |p_(k-1)| - |p_(k-2)|
+    >= (|a_k| - 1) |p_(k-1)| >= 2 |p_(k-1)|, so |p_n| >= prod (|a_i| - 1)
+    >= 2^L with L = sum (bit_length(|a_i| - 1) - 1), and 2^L has
+    floor(L log10 2) + 1 digits, where 0.30102 < log10 2.
+    """
+    bits = sum((abs(a) - 1).bit_length() - 1 for a in _check_coeffs(coeffs))
+    return bits * 30102 // 100000 + 1
 
 
 def twobridge_equivalent(c1: Iterable[int], c2: Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ from platknot.canonical import (
     equivalent,
     symmetry_group,
 )
-from platknot.errors import DimensionsOutOfTheoremRange, NotHighlyTwisted
+from platknot.errors import DimensionsOutOfTheoremRange, NotHighlyTwisted, PlatError
 from platknot.invariants import determinant, jones_canonical
 from platknot.plat import row_width
 
@@ -145,3 +145,50 @@ def test_row_comparisons_agree_with_apply(mat):
     images = [apply(g, mat) for g in ELEMENTS]
     assert canonical_form(mat, force=True) == min(images, key=lambda t: t.entries())
     assert symmetry_group(mat) == tuple(g for g, t in zip(ELEMENTS, images) if t == mat)
+
+
+def twisted(mat):
+    """``mat`` with each entry a moved 4 away from zero: every |a| >= 4.  The
+    map is injective and acts entrywise, so it keeps a pair rotated, or
+    differing in one entry."""
+    return TwistMatrix(mat.m, [[a + 4 if a >= 0 else a - 4 for a in row] for row in mat.rows])
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A matrix with a rotation of it, with a copy differing in one entry, or
+    with an independent draw of any shape; half of the pairs 4-highly
+    twisted."""
+    mat = draw(any_matrices())
+    kind = draw(st.sampled_from(["rotated", "one entry changed", "independent"]))
+    if kind == "rotated":
+        other = apply(draw(st.sampled_from(ELEMENTS)), mat)
+    elif kind == "one entry changed":
+        rows = [list(r) for r in mat.rows]
+        i = draw(st.integers(0, mat.n - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.integers(-9, 9).filter(lambda a: a != rows[i][j]))
+        other = TwistMatrix(mat.m, rows)
+    else:
+        other = draw(any_matrices())
+    return (twisted(mat), twisted(other)) if draw(st.booleans()) else (mat, other)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the code of the PlatError it raises."""
+    try:
+        return fn(*args)
+    except PlatError as exc:
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_orbit_membership_agrees_with_comparing_canonical_forms(pair):
+    # the definition equivalent had before it computed one canonical form
+    def compare(a, b, force):
+        return canonical_form(a, force) == canonical_form(b, force)
+
+    a, b = pair
+    assert equivalent(a, b, force=True) == compare(a, b, True)
+    assert outcome(equivalent, a, b, False) == outcome(compare, a, b, False)

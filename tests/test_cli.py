@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import platknot
-from platknot import TwistMatrix
+from platknot import TwistMatrix, twobridge
 from platknot.cli import main
 from platknot.errors import PlatError
 from platknot.plat import row_width
@@ -25,6 +25,14 @@ def example_file(tmp_path, example_matrix):
     path = tmp_path / "example.plat"
     path.write_text(example_matrix.to_text())
     return str(path)
+
+
+@pytest.fixture
+def digit_limit():
+    """Set Python's int-to-str digit limit (0: none) for one test."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 def write_plat(tmp_path, name, text):
@@ -156,6 +164,35 @@ class TestTwobridge:
         f = write_plat(tmp_path, "e.plat", example_matrix.to_text())
         assert main(["twobridge", f, "--side", "right"]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tall_file_refused_before_the_convergent_pass(self, tmp_path, capsys, monkeypatch,
+                                                          side):
+        # 160,001 coefficients 3: the numerator has at least 48,164 digits
+        f = write_plat(tmp_path, "tall.plat", "2 160001\n" + "3\n3 3\n" * 80_000 + "3\n")
+        monkeypatch.setattr(twobridge, "schubert_pair",
+                            lambda coeffs: pytest.fail("the convergent pass ran"))
+        assert main(["twobridge", f, "--side", side]) == 2
+        assert capsys.readouterr().err.startswith("error: TooManyDigits: ")
+
+    def test_list_just_under_the_bound_prints(self, capsys, digit_limit):
+        # 1,427 coefficients 1025 give a 4,297-digit numerator, whose bound
+        # is 4,296: at a limit of 4,297 it prints, at 4,295 it is refused
+        coeffs = [1025] * 1427
+        assert twobridge.min_numerator_digits(coeffs) == 4296
+        digit_limit(4297)
+        pair = " ".join(map(str, sorted(twobridge.schubert_pair(coeffs)))) + "\n"
+        assert main(["twobridge", "--coeffs", ",".join(map(str, coeffs))]) == 0
+        assert capsys.readouterr().out == pair
+        digit_limit(4295)
+        assert main(["twobridge", "--coeffs", ",".join(map(str, coeffs))]) == 2
+        assert "at least 4296 digits, over Python's limit of 4295" in capsys.readouterr().err
+
+    def test_no_limit_refuses_nothing_early(self, capsys, digit_limit):
+        coeffs = ",".join(["999"] * 3001)  # 8,130-digit bound: refused at the default limit
+        digit_limit(0)
+        assert main(["twobridge", "--coeffs", coeffs]) == 0
+        assert len(capsys.readouterr().out) > 2 * 8130
 
 
 class TestHilden:

@@ -221,6 +221,11 @@ class TestTextFormat:
     def test_json_round_trip(self, example_matrix):
         assert TwistMatrix.from_json_dict(example_matrix.to_json_dict()) == example_matrix
 
+    @pytest.mark.parametrize("obj", [[1, 2], "x", None, 4])
+    def test_json_non_object_rejected(self, obj):
+        with pytest.raises(FormatError, match="must be an object"):
+            TwistMatrix.from_json_dict(obj)
+
     @pytest.mark.parametrize("entry", [1.5, 2.0, True, "3", None])
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises(FormatError):

@@ -16,6 +16,7 @@ from platknot.twobridge import (
     cf_evaluate,
     cf_reconstruct,
     left_boundary_coeffs,
+    min_numerator_digits,
     right_boundary_coeffs,
     schubert_pair,
     twobridge_equivalent,
@@ -119,6 +120,20 @@ class TestSchubertPair:
     @given(coeff_lists.filter(lambda c: len(c) % 2 == 1))
     def test_reversal_invariance_property(self, coeffs):
         assert schubert_pair(coeffs) == schubert_pair(tuple(reversed(coeffs)))
+
+    # |a| - 1 a power of two makes the bit-length step of the bound exact
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from([3, 5, 9, 1025, 2 ** 20 + 1]), st.integers(3, 5000))
+                    .flatmap(lambda a: st.sampled_from([a, -a])), min_size=1, max_size=41)
+           .filter(lambda c: len(c) % 2 == 1))
+    def test_min_numerator_digits_is_a_lower_bound(self, coeffs):
+        numerators = {abs(r.numerator) for r in schubert_pair(coeffs)}
+        assert min_numerator_digits(coeffs) <= len(str(numerators.pop()))
+
+    @pytest.mark.parametrize("coeffs", [(3, 3), (3, 2, 3), (3.0,)])
+    def test_min_numerator_digits_checks_like_schubert_pair(self, coeffs):
+        with pytest.raises(InvalidCoefficients):
+            min_numerator_digits(coeffs)
 
     def test_both_members_share_numerator(self):
         rng = random.Random(9)
