@@ -36,6 +36,8 @@ def _load_matrix(path: str) -> TwistMatrix:
             text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
     if not text.lstrip().startswith("{"):
         return TwistMatrix.from_text(text)
     try:

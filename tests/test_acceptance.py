@@ -23,8 +23,7 @@ from platknot.plat import braid_closure, to_braid_word, validate, is_highly_twis
 from platknot.spheres import maximal_collection, maximal_collection_size, regions_between
 from platknot.twobridge import cf_evaluate, cf_reconstruct, schubert_pair
 
-from conftest import random_matrix
-from test_invariants import diagram_is_connected
+from conftest import diagram_is_connected, random_matrix
 
 EXAMPLE = TwistMatrix(4, [(-4, -4, -4), (-4, 6, -4, -4), (-4, -4, -6)])
 

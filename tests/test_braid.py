@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from platknot.braid import (
     CROSSING_BUDGET,
@@ -16,95 +16,15 @@ from platknot.braid import (
 from platknot.errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings
 from platknot.hilden import random_hilden_element
 
-from conftest import address_space_cap
+from conftest import address_space_cap, letter_words, run_pairs, run_words
 
 
 def W(strands, *pairs):
     return BraidWord(strands, pairs)
 
 
-# -- reference implementations: the letter-walking operations the runs
-# -- representation replaced, on tuples of (index, sign) letters
-
-def ref_letters(runs):
-    return tuple((i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e)))
-
-
-def ref_compose(a, b):
-    return a + b
-
-
-def ref_inverse(a):
-    return tuple((i, -s) for i, s in reversed(a))
-
-
-def ref_free_reduce(a):
-    out = []
-    for i, s in a:
-        if out and out[-1] == (i, -s):
-            out.pop()
-        else:
-            out.append((i, s))
-    return tuple(out)
-
-
-def ref_permutation(strands, a):
-    cur = list(range(strands + 1))
-    for i, _ in a:
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    out = [0] * strands
-    for pos in range(1, strands + 1):
-        out[cur[pos] - 1] = pos
-    return tuple(out)
-
-
-def ref_syllables(a):
-    runs = []
-    for i, s in a:
-        if runs and runs[-1][0] == i and (runs[-1][1] > 0) == (s > 0):
-            runs[-1] = (i, runs[-1][1] + s)
-        else:
-            runs.append((i, s))
-    return runs
-
-
-def _runs_on(n):
-    return st.lists(st.tuples(st.integers(1, n - 1), st.integers(-3, 3)), max_size=30)
-
-
-def _words_on(n):
-    return st.lists(
-        st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1])), max_size=50
-    ).map(lambda ps: W(n, *ps))
-
-
-words = st.integers(2, 5).map(lambda m: 2 * m).flatmap(_words_on)
-word_pairs = st.integers(2, 5).map(lambda m: 2 * m).flatmap(
-    lambda n: st.tuples(_words_on(n), _words_on(n)))
-run_pairs = st.integers(1, 5).map(lambda m: 2 * m).flatmap(
-    lambda n: st.tuples(st.just(n), _runs_on(n), _runs_on(n)))
-
-
-class TestAgainstLetterReference:
-    @given(run_pairs)
-    def test_runs_operations_match_letter_walks(self, case):
-        n, runs_a, runs_b = case
-        a, b = BraidWord(n, runs_a), BraidWord(n, runs_b)
-        la, lb = ref_letters(runs_a), ref_letters(runs_b)
-        assert a.letters == la and len(a) == len(la)
-        assert compose(a, b).letters == ref_compose(la, lb)
-        assert inverse(a).letters == ref_inverse(la)
-        assert free_reduce(a).letters == ref_free_reduce(la)
-        assert free_reduce(compose(a, b)).letters == ref_free_reduce(la + lb)
-        assert permutation(a) == ref_permutation(n, la)
-        assert list(a.runs) == ref_syllables(la)
-        assert BraidWord(n, a.runs) == a
-
-    @given(run_pairs)
-    def test_equal_exactly_when_letters_are(self, case):
-        n, runs_a, runs_b = case
-        assert (BraidWord(n, runs_a) == BraidWord(n, runs_b)) == (
-            ref_letters(runs_a) == ref_letters(runs_b))
+words = letter_words | run_words
+word_pairs = run_pairs().map(lambda c: (BraidWord(c[0], c[1]), BraidWord(c[0], c[2])))
 
 
 def test_random_hilden_element_words_are_pinned():

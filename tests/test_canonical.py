@@ -2,7 +2,6 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from platknot import TwistMatrix, closure
 from platknot.canonical import (
@@ -13,9 +12,8 @@ from platknot.canonical import (
     equivalent,
     symmetry_group,
 )
-from platknot.errors import DimensionsOutOfTheoremRange, NotHighlyTwisted, PlatError
+from platknot.errors import DimensionsOutOfTheoremRange, NotHighlyTwisted
 from platknot.invariants import determinant, jones_canonical
-from platknot.plat import row_width
 
 from conftest import random_matrix
 
@@ -124,71 +122,3 @@ class TestSymmetryGroup:
             group = set(symmetry_group(mat))
             assert ID in group
             assert all(klein_product(g, h) in group for g in group for h in group)
-
-
-@st.composite
-def any_matrices(draw):
-    """Well-formed matrices of width 2-9 and odd height 1-9, zero entries
-    allowed: inside and outside the uniqueness theorem's range."""
-    m = draw(st.integers(2, 9))
-    n = draw(st.sampled_from(range(1, 10, 2)))
-    return TwistMatrix(m, [draw(st.lists(st.integers(-9, 9), min_size=row_width(m, i),
-                                         max_size=row_width(m, i)))
-                           for i in range(1, n + 1)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(any_matrices())
-def test_row_comparisons_agree_with_apply(mat):
-    # apply, which builds and checks each image, is the oracle for the
-    # row-tuple comparisons of canonical_form and symmetry_group
-    images = [apply(g, mat) for g in ELEMENTS]
-    assert canonical_form(mat, force=True) == min(images, key=lambda t: t.entries())
-    assert symmetry_group(mat) == tuple(g for g, t in zip(ELEMENTS, images) if t == mat)
-
-
-def twisted(mat):
-    """``mat`` with each entry a moved 4 away from zero: every |a| >= 4.  The
-    map is injective and acts entrywise, so it keeps a pair rotated, or
-    differing in one entry."""
-    return TwistMatrix(mat.m, [[a + 4 if a >= 0 else a - 4 for a in row] for row in mat.rows])
-
-
-@st.composite
-def matrix_pairs(draw):
-    """A matrix with a rotation of it, with a copy differing in one entry, or
-    with an independent draw of any shape; half of the pairs 4-highly
-    twisted."""
-    mat = draw(any_matrices())
-    kind = draw(st.sampled_from(["rotated", "one entry changed", "independent"]))
-    if kind == "rotated":
-        other = apply(draw(st.sampled_from(ELEMENTS)), mat)
-    elif kind == "one entry changed":
-        rows = [list(r) for r in mat.rows]
-        i = draw(st.integers(0, mat.n - 1))
-        j = draw(st.integers(0, len(rows[i]) - 1))
-        rows[i][j] = draw(st.integers(-9, 9).filter(lambda a: a != rows[i][j]))
-        other = TwistMatrix(mat.m, rows)
-    else:
-        other = draw(any_matrices())
-    return (twisted(mat), twisted(other)) if draw(st.booleans()) else (mat, other)
-
-
-def outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the code of the PlatError it raises."""
-    try:
-        return fn(*args)
-    except PlatError as exc:
-        return exc.code
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrix_pairs())
-def test_orbit_membership_agrees_with_comparing_canonical_forms(pair):
-    # the definition equivalent had before it computed one canonical form
-    def compare(a, b, force):
-        return canonical_form(a, force) == canonical_form(b, force)
-
-    a, b = pair
-    assert equivalent(a, b, force=True) == compare(a, b, True)
-    assert outcome(equivalent, a, b, False) == outcome(compare, a, b, False)

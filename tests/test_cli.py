@@ -435,10 +435,10 @@ def fuzz_file(tmp_path_factory):
 
 
 @settings(_FUZZ, max_examples=100)
-@given(content=_plat_texts() | _plat_json_dicts().map(json.dumps))
+@given(content=(_plat_texts() | _plat_json_dicts().map(json.dumps)).map(str.encode) | st.binary())
 def test_every_command_exits_0_1_or_2_with_a_code(fuzz_file, content):
     # an exception escaping main fails the test
-    fuzz_file.write_text(content)
+    fuzz_file.write_bytes(content)
     for argv in FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -17,8 +17,7 @@ from platknot.hilden import (
 )
 from platknot.invariants import determinant, jones_canonical
 
-from conftest import random_matrix
-from test_invariants import diagram_is_connected
+from conftest import diagram_is_connected, random_matrix
 
 BRIDGE_PARTITION_8 = {frozenset({1, 2}), frozenset({3, 4}),
                       frozenset({5, 6}), frozenset({7, 8})}

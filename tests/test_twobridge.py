@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 from platknot import TwistMatrix, closure
 from platknot.errors import (
@@ -22,9 +22,7 @@ from platknot.twobridge import (
     twobridge_equivalent,
 )
 
-coeff_lists = st.lists(
-    st.integers(3, 9).flatmap(lambda a: st.sampled_from([a, -a])),
-    min_size=1, max_size=12)
+from conftest import coeff_lists
 
 
 class TestEvaluate:
@@ -69,7 +67,11 @@ class TestReconstruct:
     def test_negative(self):
         assert cf_reconstruct(Fraction(-21, 8)) == (-3, 3, -3)
 
-    @given(coeff_lists)
+    def test_integer_input_reconstructs(self):
+        assert cf_reconstruct(5) == (5,)
+        assert cf_reconstruct(-3) == (-3,)
+
+    @given(coeff_lists(12))
     def test_round_trip(self, coeffs):
         assert cf_reconstruct(cf_evaluate(coeffs)) == tuple(coeffs)
 
@@ -117,18 +119,9 @@ class TestSchubertPair:
         with pytest.raises(InvalidCoefficients):
             schubert_pair(coeffs)
 
-    @given(coeff_lists.filter(lambda c: len(c) % 2 == 1))
+    @given(coeff_lists(12).filter(lambda c: len(c) % 2 == 1))
     def test_reversal_invariance_property(self, coeffs):
         assert schubert_pair(coeffs) == schubert_pair(tuple(reversed(coeffs)))
-
-    # |a| - 1 a power of two makes the bit-length step of the bound exact
-    @settings(max_examples=200)
-    @given(st.lists(st.one_of(st.sampled_from([3, 5, 9, 1025, 2 ** 20 + 1]), st.integers(3, 5000))
-                    .flatmap(lambda a: st.sampled_from([a, -a])), min_size=1, max_size=41)
-           .filter(lambda c: len(c) % 2 == 1))
-    def test_min_numerator_digits_is_a_lower_bound(self, coeffs):
-        numerators = {abs(r.numerator) for r in schubert_pair(coeffs)}
-        assert min_numerator_digits(coeffs) <= len(str(numerators.pop()))
 
     @pytest.mark.parametrize("coeffs", [(3, 3), (3, 2, 3), (3.0,)])
     def test_min_numerator_digits_checks_like_schubert_pair(self, coeffs):
@@ -190,58 +183,6 @@ class TestDeterminantOracle:
         mat = boundary_plat(coeffs)
         assert sum(abs(a) for a in mat.entries()) <= 22
         assert determinant(closure(mat)) == num
-
-
-# -- the exact integer kernels against the plain Fraction evaluation ---------
-
-def ref_evaluate(coeffs):
-    """Tail-first Fraction evaluation of [a_0; a_1, ..., a_k]: the reference
-    that the integer-pair kernels must reproduce."""
-    value = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        if value == 0:
-            raise DivisionByZeroTail(f"tail of {list(coeffs)} evaluates to 0")
-        value = a + 1 / value
-    return value
-
-
-def alternate(coeffs):
-    """[a_1, -a_2, a_3, ..., -a_(n-1), a_n]"""
-    return [a if i % 2 == 0 else -a for i, a in enumerate(coeffs)]
-
-
-def ref_or_zero_tail(f, coeffs):
-    try:
-        return f(coeffs)
-    except DivisionByZeroTail:
-        return DivisionByZeroTail
-
-
-long_coeff_lists = st.lists(
-    st.integers(3, 9).flatmap(lambda a: st.sampled_from([a, -a])),
-    min_size=1, max_size=25)
-
-
-class TestAgainstFractionReference:
-    @settings(max_examples=400)
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=15))
-    def test_evaluate(self, coeffs):
-        assert ref_or_zero_tail(cf_evaluate, coeffs) == ref_or_zero_tail(ref_evaluate, coeffs)
-
-    @settings(max_examples=400)
-    @given(long_coeff_lists.filter(lambda c: len(c) % 2 == 1))
-    def test_schubert_pair(self, coeffs):
-        assert schubert_pair(coeffs) == frozenset(
-            {ref_evaluate(alternate(coeffs)), ref_evaluate(alternate(coeffs[::-1]))})
-
-    @settings(max_examples=400)
-    @given(long_coeff_lists)
-    def test_reconstruct(self, coeffs):
-        assert cf_reconstruct(ref_evaluate(coeffs)) == tuple(coeffs)
-
-    def test_integer_input_reconstructs(self):
-        assert cf_reconstruct(5) == (5,)
-        assert cf_reconstruct(-3) == (-3,)
 
 
 class TestCoefficientBoundary:
