@@ -4,7 +4,8 @@ A row is (name, fast, oracle, strategy, max_examples), with an optional
 relation ``compare`` (equality by default) and explicit examples: hypothesis
 draws cases from the strategy, and ``compare(fast(case), oracle(case))`` must
 hold on each.  A new fast path lands as one new row.  The diagram rows, whose
-cases are (word, style) closures, also run over one fixed seeded corpus.
+cases are (word, style) closures, also run over one fixed seeded corpus, one
+test per row.
 """
 
 import functools
@@ -116,9 +117,10 @@ def on_closure(f):
     return lambda case: f(diagram(case))
 
 
-# the rows checked on one case share its diagram and its determinant
-diagram = functools.lru_cache(maxsize=1)(lambda case: braid_closure(*case))
-wirtinger = functools.lru_cache(maxsize=1)(on_closure(determinant))
+# the rows checked on one case share its diagram and its determinant; the
+# corpus tests check one row each, so the caches keep every case (about 10 MB)
+diagram = functools.cache(lambda case: braid_closure(*case))
+wirtinger = functools.cache(on_closure(determinant))
 
 
 # -- canonical: apply, which builds and checks each image, is the oracle for
@@ -241,7 +243,9 @@ def hilden_translate(word: BraidWord, rng: random.Random) -> BraidWord:
     return compose(h_left, word, h_right)
 
 
-def test_diagram_rows_on_seeded_corpus():
+@functools.cache
+def seeded_corpus():
+    """The diagram rows' corpus: (every row's cases, the bracket row's cases, split plats)."""
     # the criterion plats in every style and two Hilden translates of each
     rng = random.Random(3)
     cases = []
@@ -249,8 +253,6 @@ def test_diagram_rows_on_seeded_corpus():
         cases += [(word, style) for style in PlatClosureStyle]
         cases += [(hilden_translate(word, rng), STANDARD) for _ in range(2)]
     bracket = [case for case in cases if len(case[0]) <= JONES_CROSSINGS]
-    zeros = sum(closure_determinant(*case) == 0 for case in cases)
-    assert len(cases) > 2000 and len(bracket) > 300 and zeros > 500
     # 60 small plats in each style, and 55 standard closures of at most 16
     # crossings, 15 of them split, which the bracket row checks too
     for style in PlatClosureStyle:
@@ -258,12 +260,19 @@ def test_diagram_rows_on_seeded_corpus():
         cases += [(to_braid_word(random_small_matrix(rng, 18)), style) for _ in range(60)]
     rng = random.Random(31)
     small = [random_small_matrix(rng, 16) for _ in range(55)]
-    assert sum(not diagram_is_connected(closure(mat)) for mat in small) == 15
+    split = sum(not diagram_is_connected(closure(mat)) for mat in small)
     small = [(to_braid_word(mat), STANDARD) for mat in small]
+    return cases + small, bracket + small, split
 
-    *rows, jones_row = DIAGRAM_ROWS
-    for case in cases + small:
-        for row in rows:
-            check(row, case)
-    for case in bracket + small:
-        check(jones_row, case)
+
+def test_seeded_corpus_keeps_its_coverage():
+    cases, bracket, split = seeded_corpus()
+    zeros = sum(closure_determinant(*case) == 0 for case in cases)
+    assert len(cases) > 2000 and len(bracket) > 300 and zeros > 500 and split == 15
+
+
+@pytest.mark.parametrize("row", DIAGRAM_ROWS, ids=lambda row: row.name)
+def test_diagram_row_on_seeded_corpus(row):
+    cases, bracket, _ = seeded_corpus()
+    for case in bracket if row.name == "determinant.jones" else cases:
+        check(row, case)
