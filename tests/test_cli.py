@@ -55,13 +55,6 @@ class TestValidate:
         assert main(["validate", "/nonexistent.plat"]) == 2
         assert "FormatError" in capsys.readouterr().err
 
-    def test_not_utf8_exit_2_naming_the_byte(self, tmp_path, capsys):
-        bad = tmp_path / "bad.plat"
-        bad.write_bytes(b"2 1\n1 \xff\n")
-        assert main(["validate", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: FormatError: cannot read {bad}: not UTF-8 at byte 6\n"
-
 
 class TestCanon:
     def test_deterministic_output(self, example_file, capsys):

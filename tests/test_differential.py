@@ -1,11 +1,8 @@
 """Every fast path against its brute-force oracle, one table row each.
 
-A row is (name, fast, oracle, strategy, max_examples), with an optional
-relation ``compare`` (equality by default) and explicit examples: hypothesis
-draws cases from the strategy, and ``compare(fast(case), oracle(case))`` must
-hold on each.  A new fast path lands as one new row.  The diagram rows, whose
-cases are (word, style) closures, also run over one fixed seeded corpus, one
-test per row.
+A row draws cases from its strategy, and ``compare(fast(case), oracle(case))``
+(equality by default) must hold on each.  A new fast path lands as one new row.
+The diagram rows, on (word, style) closures, also run over one seeded corpus.
 """
 
 import functools
@@ -113,14 +110,10 @@ def dense_determinant(d) -> int:
     return _bareiss_abs_det([[row.get(j, 0) for j in range(len(rows))] for row in rows])
 
 
-def on_closure(f):
-    return lambda case: f(diagram(case))
-
-
-# the rows checked on one case share its diagram and its determinant; the
-# corpus tests check one row each, so the caches keep every case (about 10 MB)
-diagram = functools.cache(lambda case: braid_closure(*case))
-wirtinger = functools.cache(on_closure(determinant))
+class Closure(namedtuple("Closure", "word style")):
+    """A (word, style) case; the rows checked on it share its diagram and determinant."""
+    diagram = functools.cached_property(lambda self: braid_closure(*self))
+    wirtinger = functools.cached_property(lambda self: determinant(self.diagram))
 
 
 # -- canonical: apply, which builds and checks each image, is the oracle for
@@ -171,29 +164,36 @@ def odd_length(coeffs):
     return len(coeffs) % 2 == 1
 
 
-Row = namedtuple("Row", "name fast oracle strategy max_examples compare examples",
-                 defaults=(operator.eq, ()))
+# deadline=None on the rows whose replaced properties ran without a deadline
+Row = namedtuple("Row", "name fast oracle strategy max_examples compare examples deadline",
+                 defaults=(operator.eq, (), settings().deadline))
 
 
-EDGE_CLOSURES = tuple((word, STANDARD) for word, _ in EDGE_CASES.values())
+EDGE_CLOSURES = tuple(Closure(word, STANDARD) for word, _ in EDGE_CASES.values())
+
+
+def diagram_row(name, fast, oracle, words):
+    """A row on 150 closures of ``words`` in any style, and on the edge words."""
+    return Row(name, fast, oracle, st.builds(Closure, words, styles), 150,
+               examples=EDGE_CLOSURES, deadline=None)
+
+
+wirtinger = operator.attrgetter("wirtinger")
 DIAGRAM_ROWS = (
-    Row("determinant.dense", wirtinger, on_closure(dense_determinant),
-        st.tuples(letter_words, styles), 150, examples=EDGE_CLOSURES),
-    Row("determinant.colouring", lambda case: closure_determinant(*case),
-        wirtinger, st.tuples(letter_words | run_words, styles), 150,
-        examples=EDGE_CLOSURES),
-    Row("components.walk", lambda case: closure_components(*case),
-        on_closure(lambda d: d.n_components), st.tuples(letter_words | run_words, styles), 150,
-        examples=EDGE_CLOSURES),
-    Row("determinant.jones", wirtinger,
-        on_closure(lambda d: jones_at_minus_one(jones(d))),
-        st.tuples(braid_words(LETTERS, JONES_CROSSINGS), styles), 150, examples=EDGE_CLOSURES),
+    diagram_row("determinant.dense", wirtinger, lambda c: dense_determinant(c.diagram),
+                letter_words),
+    diagram_row("determinant.colouring", lambda c: closure_determinant(*c), wirtinger,
+                letter_words | run_words),
+    diagram_row("components.walk", lambda c: closure_components(*c),
+                lambda c: c.diagram.n_components, letter_words | run_words),
+    diagram_row("determinant.jones", wirtinger, lambda c: jones_at_minus_one(jones(c.diagram)),
+                braid_words(LETTERS, JONES_CROSSINGS)),
 )
 ROWS = DIAGRAM_ROWS + (
     Row("braid.runs", runs_view, letter_walks, run_pairs(), 100),
-    Row("canonical.rows", row_comparisons, images_by_apply, any_matrices(), 300),
+    Row("canonical.rows", row_comparisons, images_by_apply, any_matrices(), 300, deadline=None),
     Row("canonical.orbit", orbit_verdicts(equivalent), orbit_verdicts(compare_canonical_forms),
-        matrix_pairs(), 300),
+        matrix_pairs(), 300, deadline=None),
     Row("twobridge.evaluate", lambda c: outcome(cf_evaluate, c), lambda c: outcome(ref_evaluate, c),
         st.lists(st.integers(-5, 5), min_size=1, max_size=15), 400),
     Row("twobridge.schubert", schubert_pair,
@@ -218,12 +218,9 @@ def test_fast_path_agrees_with_oracle(row):
     def run(case):
         check(row, case)
 
-    # one database key per row, as hypothesis's pytest plugin keys each case
-    # of a parametrized test, so a row replays only its own failures
-    run._hypothesis_internal_add_digest = row.name.encode()
     for case in row.examples:
         run = example(case)(run)
-    settings(max_examples=row.max_examples, deadline=None)(given(row.strategy)(run))()
+    settings(max_examples=row.max_examples, deadline=row.deadline)(given(row.strategy)(run))()
 
 
 # -- the seeded corpus of the diagram rows ----------------------------------
@@ -245,34 +242,41 @@ def hilden_translate(word: BraidWord, rng: random.Random) -> BraidWord:
 
 @functools.cache
 def seeded_corpus():
-    """The diagram rows' corpus: (every row's cases, the bracket row's cases, split plats)."""
+    """The diagram rows' corpus: (the criterion plats' cases, 180 small plats'
+    cases, 55 smaller plats' cases, the number of those 55 that are split)."""
     # the criterion plats in every style and two Hilden translates of each
     rng = random.Random(3)
-    cases = []
+    criterion = []
     for word in map(to_braid_word, criterion_plats()):
-        cases += [(word, style) for style in PlatClosureStyle]
-        cases += [(hilden_translate(word, rng), STANDARD) for _ in range(2)]
-    bracket = [case for case in cases if len(case[0]) <= JONES_CROSSINGS]
+        criterion += [Closure(word, style) for style in PlatClosureStyle]
+        criterion += [Closure(hilden_translate(word, rng), STANDARD) for _ in range(2)]
     # 60 small plats in each style, and 55 standard closures of at most 16
     # crossings, 15 of them split, which the bracket row checks too
+    small = []
     for style in PlatClosureStyle:
         rng = random.Random(42)
-        cases += [(to_braid_word(random_small_matrix(rng, 18)), style) for _ in range(60)]
+        small += [Closure(to_braid_word(random_small_matrix(rng, 18)), style) for _ in range(60)]
     rng = random.Random(31)
-    small = [random_small_matrix(rng, 16) for _ in range(55)]
-    split = sum(not diagram_is_connected(closure(mat)) for mat in small)
-    small = [(to_braid_word(mat), STANDARD) for mat in small]
-    return cases + small, bracket + small, split
+    mats = [random_small_matrix(rng, 16) for _ in range(55)]
+    split = sum(not diagram_is_connected(closure(mat)) for mat in mats)
+    return criterion, small, [Closure(to_braid_word(mat), STANDARD) for mat in mats], split
+
+
+def in_bracket_range(cases):
+    return [case for case in cases if len(case.word) <= JONES_CROSSINGS]
 
 
 def test_seeded_corpus_keeps_its_coverage():
-    cases, bracket, split = seeded_corpus()
-    zeros = sum(closure_determinant(*case) == 0 for case in cases)
-    assert len(cases) > 2000 and len(bracket) > 300 and zeros > 500 and split == 15
+    criterion, _, _, split = seeded_corpus()
+    zeros = sum(case.wirtinger == 0 for case in criterion)
+    assert len(criterion) > 2000 and len(in_bracket_range(criterion)) > 300
+    assert zeros > 500 and split == 15
 
 
 @pytest.mark.parametrize("row", DIAGRAM_ROWS, ids=lambda row: row.name)
 def test_diagram_row_on_seeded_corpus(row):
-    cases, bracket, _ = seeded_corpus()
-    for case in bracket if row.name == "determinant.jones" else cases:
+    criterion, small, smaller, _ = seeded_corpus()
+    if row.name == "determinant.jones":
+        criterion, small = in_bracket_range(criterion), []
+    for case in criterion + small + smaller:
         check(row, case)
