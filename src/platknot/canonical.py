@@ -14,9 +14,11 @@ orbit is a complete isotopy invariant, so the orbit minimum is a canonical
 form, and one canonical form plus an orbit test decides equivalence: the
 other matrix is equivalent iff one of its four images is that minimum.
 
-:func:`apply` is the public action: it returns a checked matrix, and the
-tests use it as the oracle.  The other functions compare row tuples;
-:func:`equivalent` builds no matrix beyond one canonical form.
+:func:`apply` is the public action: it checks its input and builds each
+image from the input's checked rows without checking them again; the tests
+hold it against images built by the checked constructor from the index
+formulas, and use it as the oracle of the other functions.  Those compare
+row tuples; :func:`equivalent` builds no matrix beyond one canonical form.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
 
     H maps a_ij -> a_(n+1-i),j (row order reversed; the pattern of row
     lengths survives because n is odd), V maps a_ij -> a_i,(w_i+1-j).
+    ``mat`` is validated; the image only reorders its rows and entries,
+    which its construction checked, so they are not checked again.
     """
     validate(mat)
-    return TwistMatrix(mat.m, _image_rows(g, mat.rows))
+    return mat._reordered(_image_rows(g, mat.rows))
 
 
 def _check_hypotheses(mat: TwistMatrix, force: bool) -> None:

@@ -58,7 +58,9 @@ class TwistMatrix:
     :func:`validate` (all operations do).  ``rows`` must be an iterable of
     iterables and the width and entries must be ``int`` (anything else
     raises FormatError); entries may be zero: the invariant oracle runs on
-    small, non-highly-twisted diagrams.
+    small, non-highly-twisted diagrams.  Every public way to build one
+    checks this; only the rotation images of :func:`canonical.apply`, which
+    reorder the rows of a matrix already built, skip the second check.
     """
 
     m: int
@@ -71,6 +73,15 @@ class TwistMatrix:
             raise FormatError("twist-matrix rows must be an iterable of rows of entries") from None
         require_ints(FormatError, "twist-matrix width and entries", chain((self.m,), *rows))
         object.__setattr__(self, "rows", rows)
+
+    def _reordered(self, rows: tuple[tuple[int, ...], ...]) -> "TwistMatrix":
+        """A matrix of this width whose ``rows``, a tuple of tuples, reorder
+        this matrix's checked rows and entries; built without checking them
+        again."""
+        mat = object.__new__(TwistMatrix)
+        object.__setattr__(mat, "m", self.m)
+        object.__setattr__(mat, "rows", rows)
+        return mat
 
     @property
     def n(self) -> int:

@@ -45,7 +45,10 @@ class VerticalSphere:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(self.c)
+        try:
+            c = tuple(self.c)
+        except TypeError:  # c is not iterable
+            raise FormatError("sphere counts must be an iterable of ints") from None
         require_ints(FormatError, "sphere counts", c)
         object.__setattr__(self, "c", c)
 

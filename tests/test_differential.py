@@ -28,6 +28,7 @@ from conftest import (LETTERS, any_matrices, braid_words, coeff_lists,
                       diagram_is_connected, letter_words, matrix_pairs, random_small_matrix,
                       run_pairs, run_words, styles)
 from test_acceptance import EXAMPLE, criterion_2_plats, criterion_7_plats, criterion_9_variants
+from test_canonical import FLIPS
 from test_determinant import EDGE_CASES
 
 STANDARD = PlatClosureStyle.STANDARD
@@ -116,8 +117,30 @@ class Closure(namedtuple("Closure", "word style")):
     wirtinger = functools.cached_property(lambda self: determinant(self.diagram))
 
 
-# -- canonical: apply, which builds and checks each image, is the oracle for
-# -- the row-tuple comparisons
+# -- canonical: apply builds each image from checked rows without a second
+# -- check; its oracle is the checked constructor fed by the index formulas
+# -- of apply's docstring, and apply is the oracle of the row-tuple comparisons
+
+def with_shape(images):
+    """Each image with its hash and the types of its rows and entries."""
+    return [(t, hash(t), type(t.rows), {type(r) for r in t.rows}, set(map(type, t.entries())))
+            for t in images]
+
+
+def images_by_index(mat):
+    """The four images from a_ij -> a_(n+1-i),j (H) and a_ij -> a_i,(w_i+1-j)
+    (V), each built by the checked constructor."""
+    n, widths = mat.n, [len(row) for row in mat.rows]
+    images = []
+    for g in ELEMENTS:
+        h, v = FLIPS[g]
+        image = {(n + 1 - i if h else i, w + 1 - j if v else j): a
+                 for i, (w, row) in enumerate(zip(widths, mat.rows), start=1)
+                 for j, a in enumerate(row, start=1)}
+        images.append(TwistMatrix(mat.m, [[image[i, j] for j in range(1, w + 1)]
+                                          for i, w in enumerate(widths, start=1)]))
+    return with_shape(images)
+
 
 def row_comparisons(mat):
     return canonical_form(mat, force=True), symmetry_group(mat)
@@ -191,6 +214,8 @@ DIAGRAM_ROWS = (
 )
 ROWS = DIAGRAM_ROWS + (
     Row("braid.runs", runs_view, letter_walks, run_pairs(), 100),
+    Row("canonical.apply", lambda mat: with_shape([apply(g, mat) for g in ELEMENTS]),
+        images_by_index, any_matrices(), 300, deadline=None),
     Row("canonical.rows", row_comparisons, images_by_apply, any_matrices(), 300, deadline=None),
     Row("canonical.orbit", orbit_verdicts(equivalent), orbit_verdicts(compare_canonical_forms),
         matrix_pairs(), 300, deadline=None),

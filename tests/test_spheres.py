@@ -61,7 +61,7 @@ class TestValidity:
     def test_needs_width_three(self):
         assert not is_valid(S(1, 1, 1), 2, 3)
 
-    @pytest.mark.parametrize("c", [(1.9, 2), (1, 2.0), (True, 2), ("1", 2)])
+    @pytest.mark.parametrize("c", [(1.9, 2), (1, 2.0), (True, 2), ("1", 2), 5, None, 1.5])
     def test_counts_must_be_exact_ints(self, c):
         with pytest.raises(FormatError):
             VerticalSphere(c)
