@@ -14,18 +14,18 @@ orbit is a complete isotopy invariant, so the orbit minimum is a canonical
 form, and one canonical form plus an orbit test decides equivalence: the
 other matrix is equivalent iff one of its four images is that minimum.
 
-:func:`apply` is the public action: it checks its input and builds each
-image from the input's checked rows without checking them again; the tests
-hold it against images built by the checked constructor from the index
-formulas, and use it as the oracle of the other functions.  Those compare
-row tuples; :func:`equivalent` builds no matrix beyond one canonical form.
+A :class:`TwistMatrix` is checked when built, so :func:`apply`, the public
+action, builds each image from the input's rows without checking them
+again; the tests hold it against images built by the checked constructor
+from the index formulas, and use it as the oracle of the other functions.
+Those compare row tuples; :func:`equivalent` builds only one canonical form.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .errors import NotHighlyTwisted
+from .errors import FormatError, NotHighlyTwisted
 from .plat import TwistMatrix, check_theorem_range, is_highly_twisted, validate
 
 __all__ = ["SymmetryElement", "apply", "canonical_form", "equivalent", "symmetry_group"]
@@ -58,17 +58,20 @@ def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
 
     H maps a_ij -> a_(n+1-i),j (row order reversed; the pattern of row
     lengths survives because n is odd), V maps a_ij -> a_i,(w_i+1-j).
-    ``mat`` is validated; the image only reorders its rows and entries,
-    which its construction checked, so they are not checked again.
+    The image only reorders the rows and entries of ``mat``, which its
+    construction checked, so they are not checked again.  FormatError
+    unless ``g`` is a :class:`SymmetryElement`.
     """
-    validate(mat)
+    if not isinstance(g, SymmetryElement):
+        raise FormatError(f"a rotation must be a SymmetryElement, got {type(g).__name__}")
+    validate(mat)  # redundant; perfbench's nested-validate gate needs it (ROADMAP item 1)
     return mat._reordered(_image_rows(g, mat.rows))
 
 
 def _check_hypotheses(mat: TwistMatrix, force: bool) -> None:
-    """Raise unless ``mat`` is well formed and, without ``force``, inside the
-    uniqueness theorem's hypotheses."""
-    validate(mat)
+    """Raise unless ``force`` is set or ``mat`` is inside the uniqueness
+    theorem's hypotheses."""
+    validate(mat)  # redundant; perfbench's nested-validate gate needs it (ROADMAP item 1)
     if not force:
         check_theorem_range(mat.m, mat.n)
         if not is_highly_twisted(mat, 4):
@@ -106,5 +109,4 @@ def equivalent(mat1: TwistMatrix, mat2: TwistMatrix, force: bool = False) -> boo
 
 def symmetry_group(mat: TwistMatrix) -> tuple[SymmetryElement, ...]:
     """Rotations fixing the coefficient matrix; always a subgroup."""
-    validate(mat)
     return tuple(g for g in ELEMENTS if _image_rows(g, mat.rows) == mat.rows)

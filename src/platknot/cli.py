@@ -24,7 +24,6 @@ from .plat import (
     braid_closure,
     closure,
     to_braid_word,
-    validate,
 )
 
 __all__ = ["main"]
@@ -65,8 +64,7 @@ def _digit_limit():
 
 
 def _cmd_validate(args) -> int:
-    mat = _load_matrix(args.file)
-    validate(mat)
+    mat = _load_matrix(args.file)  # the reader checks the shape rule
     _emit(args, {"ok": True, "m": mat.m, "n": mat.n}, f"ok: width {mat.m}, height {mat.n}")
     return 0
 

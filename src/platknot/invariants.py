@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .braid import BraidWord
 from .errors import FormatError, InternalError, TooManyCrossings, shown
-from .plat import PlanarDiagram, PlatClosureStyle
+from .plat import PlanarDiagram, PlatClosureStyle, check_style
 
 __all__ = [
     "LaurentPoly",
@@ -348,6 +348,7 @@ def closure_determinant(word: BraidWord,
     circle.  The minor drops the last top and bottom bridge, so m - 1 passes
     run; on 2 strands the minor is empty.
     """
+    check_style(style)
     strands, runs = word.strands, word.runs
     top, bottom = (pairs[:-1] for pairs in style.bridges(strands))  # the minor's bridges
     minor = []

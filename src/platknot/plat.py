@@ -5,7 +5,8 @@ coefficient matrix: row i holds the signed crossing counts of the twist
 regions at level i, with m-1 entries on odd rows (even-index generators)
 and m entries on even rows (odd-index generators).  The braid word
 expansion attaches exponent -a_ij to the corresponding generator; that
-negation happens in exactly one place, :func:`to_braid_word`.
+negation happens in exactly one place, :func:`to_braid_word`.  A
+:class:`TwistMatrix` is checked when built, so operations take it as is.
 
 Closing the braid with bridge arcs (three styles: standard, even, doubly
 even) yields a crossing-level planar diagram with deterministic PD codes,
@@ -54,13 +55,13 @@ def row_width(m: int, i: int) -> int:
 class TwistMatrix:
     """Coefficient matrix of a plat in standard form.
 
-    Construction does not enforce the row-length pattern; call
-    :func:`validate` (all operations do).  ``rows`` must be an iterable of
+    Construction checks everything: ``rows`` must be an iterable of
     iterables and the width and entries must be ``int`` (anything else
-    raises FormatError); entries may be zero: the invariant oracle runs on
-    small, non-highly-twisted diagrams.  Every public way to build one
-    checks this; only the rotation images of :func:`canonical.apply`, which
-    reorder the rows of a matrix already built, skip the second check.
+    raises FormatError), then :func:`validate` enforces the shape rule, so
+    a ``TwistMatrix`` is well formed once built.  Entries may be zero: the
+    invariant oracle runs on small, non-highly-twisted diagrams.  Only the
+    rotation images of :func:`canonical.apply`, which reorder the rows of a
+    matrix already built, skip the second check.
     """
 
     m: int
@@ -73,11 +74,12 @@ class TwistMatrix:
             raise FormatError("twist-matrix rows must be an iterable of rows of entries") from None
         require_ints(FormatError, "twist-matrix width and entries", chain((self.m,), *rows))
         object.__setattr__(self, "rows", rows)
+        validate(self)
 
     def _reordered(self, rows: tuple[tuple[int, ...], ...]) -> "TwistMatrix":
         """A matrix of this width whose ``rows``, a tuple of tuples, reorder
-        this matrix's checked rows and entries; built without checking them
-        again."""
+        this well-formed matrix's rows and entries, keeping the shape rule;
+        built without checking them again."""
         mat = object.__new__(TwistMatrix)
         object.__setattr__(mat, "m", self.m)
         object.__setattr__(mat, "rows", rows)
@@ -143,7 +145,7 @@ class TwistMatrix:
 
 
 def validate(mat: TwistMatrix) -> None:
-    """Raise on the first structural violation; None means well formed."""
+    """Raise on the first violation of the shape rule; the constructor calls it."""
     if mat.m < 2:
         raise WidthTooSmall(f"width m must be >= 2, got {shown(mat.m)}")
     if mat.n < 1 or mat.n % 2 == 0:
@@ -164,7 +166,7 @@ def check_theorem_range(m: int, n: int) -> None:
 
 def is_highly_twisted(mat: TwistMatrix, c: int) -> bool:
     """True iff every coefficient satisfies |a_ij| >= c."""
-    validate(mat)
+    validate(mat)  # redundant; perfbench's nested-validate gate needs it (ROADMAP item 1)
     return min(map(abs, chain.from_iterable(mat.rows))) >= c  # validate leaves row 1 non-empty
 
 
@@ -175,7 +177,6 @@ def to_braid_word(mat: TwistMatrix) -> BraidWord:
     odd generators sigma_1, sigma_3, ...; coefficient a_ij contributes
     exponent -a_ij (knot-diagram sign convention).
     """
-    validate(mat)
     runs = []
     for i, row in enumerate(mat.rows, start=1):
         first = 2 if i % 2 == 1 else 1
@@ -197,6 +198,13 @@ class PlatClosureStyle(enum.Enum):
         shifted = [(p, p % strands + 1) for p in range(2, strands + 1, 2)]
         return (shifted if self is PlatClosureStyle.DOUBLY_EVEN else plain,
                 plain if self is PlatClosureStyle.STANDARD else shifted)
+
+
+def check_style(style: PlatClosureStyle) -> None:
+    """Raise FormatError unless ``style`` is a PlatClosureStyle; a string value
+    is refused, not converted.  The one check of every reader of the bridges."""
+    if not isinstance(style, PlatClosureStyle):
+        raise FormatError(f"closure style must be a PlatClosureStyle, got {type(style).__name__}")
 
 
 # Crossing corners.  Braids are drawn top to bottom; NW/NE are the incoming ends.
@@ -299,6 +307,7 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     (segment, crossing, corner); segments run over the top bridges left to
     right, then over each crossing's two outputs in braid order.
     """
+    check_style(style)
     letters = word.letters  # the budget check, before anything is allocated
     top_pairs, bottom_pairs = style.bridges(word.strands)
 
@@ -391,6 +400,7 @@ def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureSty
     top pairing -> braid permutation -> bottom pairing and count orbits.
     Each component is covered by exactly two orbits (one per direction).
     """
+    check_style(style)
     strands = word.strands
     perm = permutation(word)
     inv = [0] * (strands + 1)

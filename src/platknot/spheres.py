@@ -60,9 +60,17 @@ class VerticalSphere:
         return f"S({','.join(str(x) for x in self.c)})"
 
 
+def _check_spheres(*spheres: VerticalSphere) -> None:
+    """FormatError unless every argument is a VerticalSphere."""
+    for s in spheres:
+        if not isinstance(s, VerticalSphere):
+            raise FormatError(f"a sphere must be a VerticalSphere, got {type(s).__name__}")
+
+
 def is_valid(s: VerticalSphere, m: int, n: int) -> bool:
     """Bounds of the defining arc: 1 <= c_i <= m-2 (odd rows) or m-1 (even),
     with m >= 3 so that both sides are nonempty."""
+    _check_spheres(s)
     require_ints(FormatError, "plat width and height", (m, n))
     if m < 3 or s.n != n:
         return False
@@ -72,6 +80,7 @@ def is_valid(s: VerticalSphere, m: int, n: int) -> bool:
 def disjointly_realizable(s: VerticalSphere, t: VerticalSphere) -> bool:
     """Can the two spheres be drawn with disjoint arcs?  True iff the count
     vectors are componentwise comparable (equal vectors run in parallel)."""
+    _check_spheres(s, t)
     if s.n != t.n:
         raise DimensionMismatch(f"heights differ: {s.n} vs {t.n}")
     return all(a <= b for a, b in zip(s.c, t.c)) or \
@@ -80,6 +89,7 @@ def disjointly_realizable(s: VerticalSphere, t: VerticalSphere) -> bool:
 
 def regions_between(s: VerticalSphere, t: VerticalSphere) -> int:
     """Number of twist regions strictly between two nested spheres (s <= t)."""
+    _check_spheres(s, t)
     if s.n != t.n:
         raise DimensionMismatch(f"heights differ: {s.n} vs {t.n}")
     if not all(a <= b for a, b in zip(s.c, t.c)):

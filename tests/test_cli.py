@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import platknot
 from platknot import TwistMatrix, twobridge
+from platknot.canonical import symmetry_group
 from platknot.cli import main
 from platknot.errors import PlatError
-from platknot.plat import row_width
+from platknot.plat import row_width, to_braid_word
 
 from conftest import address_space_cap, random_matrix
 
@@ -97,6 +98,15 @@ class TestEquiv:
     def test_precondition_exit_2(self, tmp_path):
         a = write_plat(tmp_path, "a.plat", "2 1\n5\n")
         assert main(["equiv", a, a]) == 2
+
+    @pytest.mark.parametrize("argv", [["equiv"], ["hilden", "coset"]])
+    def test_malformed_second_file_is_refused_when_read(self, tmp_path, capsys, argv):
+        # both files are read, and so checked, before any work: the second
+        # file's shape error comes before the first file's theorem range
+        a = write_plat(tmp_path, "a.plat", "3 3\n4 4\n4 4 4\n4 4\n")
+        b = write_plat(tmp_path, "b.plat", "4 3\n-4 -4\n-4 -4 -4 -4\n-4 -4 -4\n")
+        assert main(argv + [a, b]) == 2
+        assert capsys.readouterr().err.startswith("error: WrongRowLength")
 
 
 class TestSymmetries:
@@ -406,22 +416,29 @@ _FUZZ = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
+def _read_or_coded_error(read, source):
+    """Read ``source``; a coded error passes.  A matrix it returns keeps the
+    shape rule, so the operations that once checked it themselves run."""
+    try:
+        mat = read(source)
+    except PlatError:
+        return
+    assert isinstance(mat, TwistMatrix)
+    for operation in (to_braid_word, symmetry_group, twobridge.left_boundary_coeffs,
+                      twobridge.right_boundary_coeffs):
+        operation(mat)
+
+
 @_FUZZ
 @given(text=_plat_texts())
 def test_from_text_returns_a_matrix_or_a_coded_error(text):
-    try:
-        assert isinstance(TwistMatrix.from_text(text), TwistMatrix)
-    except PlatError:
-        pass
+    _read_or_coded_error(TwistMatrix.from_text, text)
 
 
 @_FUZZ
 @given(obj=_plat_json_dicts())
 def test_from_json_dict_returns_a_matrix_or_a_coded_error(obj):
-    try:
-        assert isinstance(TwistMatrix.from_json_dict(obj), TwistMatrix)
-    except PlatError:
-        pass
+    _read_or_coded_error(TwistMatrix.from_json_dict, obj)
 
 
 FUZZ_COMMANDS = (["validate", "FILE"], ["canon", "FILE"], ["equiv", "FILE", "FILE"],

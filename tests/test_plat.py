@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from platknot import (
     PlatClosureStyle,
@@ -14,6 +15,7 @@ from platknot import (
     validate,
 )
 from platknot.braid import CROSSING_BUDGET, BraidWord
+from platknot.canonical import SymmetryElement, symmetry_group
 from platknot.errors import (
     EvenHeight,
     FormatError,
@@ -21,9 +23,11 @@ from platknot.errors import (
     WidthTooSmall,
     WrongRowLength,
 )
-from platknot.invariants import BRACKET_CAP, max_writhe
+from platknot.invariants import BRACKET_CAP, closure_determinant, max_writhe
+from platknot.plat import closure_components
+from platknot.twobridge import left_boundary_coeffs, right_boundary_coeffs
 
-from conftest import address_space_cap
+from conftest import address_space_cap, any_matrices
 
 STYLES = list(PlatClosureStyle)
 
@@ -57,6 +61,32 @@ class TestValidate:
     def test_width_too_small(self):
         with pytest.raises(WidthTooSmall):
             validate(TwistMatrix(1, [()]))
+
+    @pytest.mark.parametrize("build", [
+        lambda m, rows: TwistMatrix(m, rows),
+        lambda m, rows: TwistMatrix.from_text(
+            f"{m} {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)),
+        lambda m, rows: TwistMatrix.from_json_dict({"m": m, "rows": rows}),
+    ], ids=["constructor", "from_text", "from_json_dict"])
+    @pytest.mark.parametrize("m, rows, error", [
+        (4, [(-4, -4), (-4, -4, -4, -4), (-4, -4, -4)], WrongRowLength),
+        (4, [(-4, -4, -4), (-4, -4, -4, -4)], EvenHeight),
+        (1, [(-4,)], WidthTooSmall),
+    ], ids=["WrongRowLength", "EvenHeight", "WidthTooSmall"])
+    def test_malformed_matrix_cannot_be_built(self, build, m, rows, error):
+        with pytest.raises(error):
+            build(m, rows)
+
+    @settings(deadline=None)
+    @given(mat=any_matrices())
+    def test_former_validate_callers_run_on_what_readers_return(self, mat):
+        # they no longer check the shape: every matrix a reader returns has it
+        for read in (TwistMatrix.from_text(mat.to_text()),
+                     TwistMatrix.from_json_dict(mat.to_json_dict())):
+            assert to_braid_word(read).strands == 2 * mat.m
+            assert SymmetryElement.ID in symmetry_group(read)
+            assert left_boundary_coeffs(read) == tuple(row[0] for row in mat.rows)
+            assert right_boundary_coeffs(read) == tuple(row[-1] for row in mat.rows)
 
 
 class TestHighlyTwisted:
@@ -160,6 +190,13 @@ class TestClosure:
         assert PlatClosureStyle.STANDARD.bridges(6) == (plain, plain)
         assert PlatClosureStyle.EVEN.bridges(6) == (plain, shifted)
         assert PlatClosureStyle.DOUBLY_EVEN.bridges(6) == (shifted, shifted)
+
+    # one row per reader of the bridges; closure and component_count go through them
+    @pytest.mark.parametrize("reader", [braid_closure, closure_components, closure_determinant])
+    @pytest.mark.parametrize("style", ["even", None])
+    def test_style_must_be_a_closure_style(self, reader, style):
+        with pytest.raises(FormatError, match="PlatClosureStyle"):
+            reader(BraidWord(4, [(1, 1)]), style)
 
     def test_closure_conventions_pinned(self):
         # bridge pairs, traversal order, orientation and crossing signs of

@@ -66,6 +66,15 @@ class TestValidity:
         with pytest.raises(FormatError):
             VerticalSphere(c)
 
+    @pytest.mark.parametrize("call", [
+        lambda: is_valid((1, 1, 1), 4, 3),
+        lambda: disjointly_realizable(S(1), (1,)),
+        lambda: regions_between(S(1), None),
+    ], ids=["is_valid", "disjointly_realizable", "regions_between"])
+    def test_spheres_must_be_vertical_spheres(self, call):
+        with pytest.raises(FormatError, match="VerticalSphere"):
+            call()
+
     def test_wrong_length(self):
         assert not is_valid(S(1, 1), 4, 3)
 
