@@ -18,12 +18,16 @@ A :class:`TwistMatrix` is checked when built, so :func:`apply`, the public
 action, builds each image from the input's rows without checking them
 again; the tests hold it against images built by the checked constructor
 from the index formulas, and use it as the oracle of the other functions.
-Those compare row tuples; :func:`equivalent` builds only one canonical form.
+Those build no image: :func:`symmetry_group` and :func:`equivalent` walk an
+image's rows lazily against a target's and stop at the first row that
+differs, and :func:`equivalent` builds only one canonical form.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import eq, itemgetter
+from typing import Iterable
 
 from .errors import FormatError, NotHighlyTwisted
 from .plat import TwistMatrix, check_theorem_range, is_highly_twisted, validate
@@ -43,14 +47,29 @@ class SymmetryElement(enum.Enum):
 ELEMENTS = (SymmetryElement.ID, SymmetryElement.H, SymmetryElement.V, SymmetryElement.HV)
 
 
-def _image_rows(g: SymmetryElement, rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The rows of ``g`` applied to a matrix with these rows: the one
-    statement of the coefficient action."""
-    if g in (SymmetryElement.H, SymmetryElement.HV):
-        rows = rows[::-1]
-    if g in (SymmetryElement.V, SymmetryElement.HV):
-        rows = tuple(r[::-1] for r in rows)
+_REVERSED = itemgetter(slice(None, None, -1))  # row -> row[::-1]
+# the rotations reversing the row order and those reversing each row; module
+# constants, since reading an enum member off its class is slow
+_FLIPS_ROW_ORDER = (SymmetryElement.H, SymmetryElement.HV)
+_FLIPS_EACH_ROW = (SymmetryElement.V, SymmetryElement.HV)
+
+
+def _image_rows(g: SymmetryElement,
+                rows: tuple[tuple[int, ...], ...]) -> Iterable[tuple[int, ...]]:
+    """The rows of ``g`` applied to a matrix with these rows, top to bottom,
+    made as they are read: the one statement of the coefficient action."""
+    if g in _FLIPS_ROW_ORDER:
+        rows = reversed(rows)
+    if g in _FLIPS_EACH_ROW:
+        rows = map(_REVERSED, rows)
     return rows
+
+
+def _maps_onto(g: SymmetryElement, rows: tuple[tuple[int, ...], ...],
+               target: tuple[tuple[int, ...], ...]) -> bool:
+    """Does ``g`` map ``rows`` onto ``target``, rows of the same height?  The
+    image is compared row by row and stops at the first row that differs."""
+    return all(map(eq, _image_rows(g, rows), target))
 
 
 def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
@@ -65,7 +84,7 @@ def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
     if not isinstance(g, SymmetryElement):
         raise FormatError(f"a rotation must be a SymmetryElement, got {type(g).__name__}")
     validate(mat)  # redundant; perfbench's nested-validate gate needs it (ROADMAP item 1)
-    return mat._reordered(_image_rows(g, mat.rows))
+    return mat._reordered(tuple(_image_rows(g, mat.rows)))
 
 
 def _check_hypotheses(mat: TwistMatrix, force: bool) -> None:
@@ -97,16 +116,20 @@ def equivalent(mat1: TwistMatrix, mat2: TwistMatrix, force: bool = False) -> boo
     """Do the two plats close up to the same knot or link?
 
     True iff the canonical forms coincide; within the theorem's hypotheses
-    this equals ambient-isotopy equivalence of the plat closures.  Orbits
-    are equal or disjoint, so ``mat1``'s orbit minimum lies in ``mat2``'s
-    orbit exactly when the minima coincide: one canonical form and an orbit
-    test over row tuples decide it, after ``mat2`` passes the same checks.
+    this equals ambient-isotopy equivalence of the plat closures.  With
+    ``force`` outside them, True is still a proof (a rotation is an
+    isotopy), but False means only "not rotation-equal": the closures may
+    still be isotopic.  Orbits are equal or disjoint, so ``mat1``'s orbit
+    minimum lies in ``mat2``'s orbit exactly when the minima coincide: one
+    canonical form and an orbit test over rows decide it, after ``mat2``
+    passes the same checks.
     """
     canon = canonical_form(mat1, force)
     _check_hypotheses(mat2, force)  # checked rows fix the width: row 1 has m - 1 entries
-    return any(_image_rows(g, mat2.rows) == canon.rows for g in ELEMENTS)
+    rows, target = mat2.rows, canon.rows
+    return len(rows) == len(target) and any(_maps_onto(g, rows, target) for g in ELEMENTS)
 
 
 def symmetry_group(mat: TwistMatrix) -> tuple[SymmetryElement, ...]:
     """Rotations fixing the coefficient matrix; always a subgroup."""
-    return tuple(g for g in ELEMENTS if _image_rows(g, mat.rows) == mat.rows)
+    return tuple(g for g in ELEMENTS if _maps_onto(g, mat.rows, mat.rows))

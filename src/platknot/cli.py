@@ -1,7 +1,9 @@
 """Command-line interface: one ``plat`` binary exposing every operation.
 
 Exit codes: 0 success (or positive decision), 1 negative decision (e.g.
-``equiv`` on inequivalent plats), 2 usage or precondition failure.  All
+``equiv`` on inequivalent plats), 2 usage or precondition failure, or no
+decision (``Undecided``: ``equiv --force`` on plats that are not
+rotation-equal, one of them outside the theorem's hypotheses).  All
 domain errors print a machine-parsable code on stderr; ``--json`` switches
 stdout to JSON lines.
 """
@@ -17,7 +19,8 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import FormatError, PlatError, TooManyDigits
+from .errors import (DimensionsOutOfTheoremRange, FormatError, NotHighlyTwisted, PlatError,
+                     TooManyDigits, Undecided)
 from .plat import (
     PlatClosureStyle,
     TwistMatrix,
@@ -81,7 +84,16 @@ def _cmd_canon(args) -> int:
 
 def _cmd_equiv(args) -> int:
     mat1, mat2 = _load_matrix(args.file1), _load_matrix(args.file2)
-    same = canonical.equivalent(mat1, mat2, force=args.force)
+    try:
+        same = canonical.equivalent(mat1, mat2)
+    except (DimensionsOutOfTheoremRange, NotHighlyTwisted):
+        if not args.force:
+            raise
+        # outside the theorem a rotation still proves "equivalent"; its absence proves nothing
+        if not canonical.equivalent(mat1, mat2, force=True):
+            raise Undecided("not rotation-equal; no knot-level answer outside the "
+                            "theorem's hypotheses") from None
+        same = True
     _emit(args, {"equivalent": same}, "equivalent" if same else "not equivalent")
     return 0 if same else 1
 
@@ -315,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)", [force])
     p.add_argument("file")
 
-    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no)", [force])
+    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no / 2 undecided)",
+            [force])
     p.add_argument("file1")
     p.add_argument("file2")
 

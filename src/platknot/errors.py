@@ -36,10 +36,10 @@ class IndexParity(PlatError):
 
 
 class WrongRowLength(PlatError):
-    """Row ``row`` of a twist matrix has the wrong number of entries."""
+    """Row ``row`` of a twist matrix has ``got`` entries, not ``expected``."""
 
     def __init__(self, row: int, expected: int, got: int):
-        self.row = row
+        self.row, self.expected, self.got = row, expected, got
         super().__init__(
             f"row {row} must have {shown(expected)} entries, got {got}")
 
@@ -50,6 +50,11 @@ class EvenHeight(PlatError):
 
 class WidthTooSmall(PlatError):
     """Twist matrix width below the structural minimum."""
+
+
+class Undecided(PlatError):
+    """The theorem gives no answer: matrices outside its hypotheses that are
+    not rotation-equal may still close to the same knot or link."""
 
 
 class NotHighlyTwisted(PlatError):

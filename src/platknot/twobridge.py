@@ -117,7 +117,7 @@ def _check_coeffs(coeffs: Iterable[int]) -> tuple[int, ...]:
     coeffs = _int_tuple(coeffs)
     if len(coeffs) % 2 == 0:
         raise InvalidCoefficients(f"need an odd number of coefficients, got {len(coeffs)}")
-    if any(abs(a) < 3 for a in coeffs):
+    if min(map(abs, coeffs)) < 3:  # not empty: its length is odd
         raise InvalidCoefficients("every |a_i| >= 3 is required")
     return coeffs
 
@@ -131,9 +131,9 @@ def schubert_pair(coeffs: Iterable[int]) -> frozenset[Fraction]:
     r = p_n/q_n and r' = p_n/p_(n-1) (module docstring).
     """
     coeffs = _check_coeffs(coeffs)
-    p0, p1, q0, q1 = 1, 0, 0, 1  # (p_k, p_(k-1), q_k, q_(k-1)) at k = 0
-    for i, a in enumerate(coeffs):
-        a = -a if i % 2 else a
+    p0, p1, q0, q1 = coeffs[0], 1, 1, 0  # (p_k, p_(k-1), q_k, q_(k-1)) at k = 1
+    for b, a in zip(coeffs[1::2], coeffs[2::2]):  # a_k enters negated at even k
+        p0, p1, q0, q1 = p1 - b * p0, p0, q1 - b * q0, q0
         p0, p1, q0, q1 = a * p0 + p1, p0, a * q0 + q1, q0
     if p1 == 0 or q0 == 0:  # impossible while every |a_i| >= 3
         raise InternalError(f"zero convergent denominator for {list(coeffs)}")

@@ -99,6 +99,35 @@ class TestEquiv:
         a = write_plat(tmp_path, "a.plat", "2 1\n5\n")
         assert main(["equiv", a, a]) == 2
 
+    # two width-2 plats a flype apart: both close to one knot (15 crossings,
+    # determinant 131), but no rotation maps one onto the other
+    FLYPE_PAIR = ("2 3\n5\n-4 0\n6\n", "2 3\n5\n-2 -2\n6\n")
+
+    def test_forced_negative_outside_the_theorem_is_undecided(self, tmp_path, capsys):
+        a, b = (write_plat(tmp_path, f"{k}.plat", text) for k, text in zip("ab", self.FLYPE_PAIR))
+        assert main(["equiv", a, b, "--force"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: Undecided: not rotation-equal; no knot-level answer "
+                                     "outside the theorem's hypotheses\n")
+        assert main(["--json", "equiv", a, b, "--force"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "Undecided"
+        assert main(["equiv", a, b]) == 2  # without --force: refused as before
+        assert "DimensionsOutOfTheoremRange" in capsys.readouterr().err
+
+    def test_forced_answers_that_are_proofs_stay(self, tmp_path, example_matrix, capsys):
+        # a rotation proves equivalence anywhere; inside the hypotheses a
+        # forced "no" is the theorem's
+        low = write_plat(tmp_path, "low.plat", self.FLYPE_PAIR[0])
+        flipped = write_plat(tmp_path, "flipped.plat", "2 3\n6\n0 -4\n5\n")
+        a = write_plat(tmp_path, "a.plat", example_matrix.to_text())
+        b = write_plat(tmp_path, "b.plat", "4 3\n-5 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n")
+        assert main(["equiv", low, flipped, "--force"]) == 0
+        assert main(["equiv", a, b, "--force"]) == 1
+        assert capsys.readouterr().out == "equivalent\nnot equivalent\n"
+        # one matrix inside, the other outside: no knot-level "no" either
+        assert main(["equiv", a, low, "--force"]) == 2
+        assert capsys.readouterr().err.startswith("error: Undecided")
+
     @pytest.mark.parametrize("argv", [["equiv"], ["hilden", "coset"]])
     def test_malformed_second_file_is_refused_when_read(self, tmp_path, capsys, argv):
         # both files are read, and so checked, before any work: the second

@@ -14,14 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word
+from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word, validate
 from platknot.braid import BraidWord, compose, free_reduce, inverse, permutation
 from platknot.canonical import ELEMENTS, apply, canonical_form, equivalent, symmetry_group
-from platknot.errors import DivisionByZeroTail, PlatError
+from platknot.errors import DivisionByZeroTail, PlatError, WrongRowLength
 from platknot.hilden import random_hilden_element
 from platknot.invariants import (_bareiss_abs_det, _wirtinger_minor, closure_determinant,
                                  determinant, jones, jones_at_minus_one)
-from platknot.plat import closure_components
+from platknot.plat import closure_components, row_width
 from platknot.twobridge import cf_evaluate, cf_reconstruct, min_numerator_digits, schubert_pair
 
 from conftest import (LETTERS, any_matrices, braid_words, coeff_lists,
@@ -117,9 +117,58 @@ class Closure(namedtuple("Closure", "word style")):
     wirtinger = functools.cached_property(lambda self: determinant(self.diagram))
 
 
+# -- plat.validate: one comparison of the row widths with their pattern; its
+# -- oracle walks the rows one by one
+
+def unchecked(m, rows):
+    """A matrix of width ``m`` with these rows, built without any check, as
+    ``TwistMatrix._reordered`` builds one."""
+    mat = object.__new__(TwistMatrix)
+    object.__setattr__(mat, "m", m)
+    object.__setattr__(mat, "rows", rows)
+    return mat
+
+
+@st.composite
+def unchecked_shapes(draw):
+    """Width 0-6, height 0-7, each row as wide as the shape rule says or one
+    entry off (most rows right, so that valid shapes appear too)."""
+    m, n = draw(st.sampled_from(range(7))), draw(st.sampled_from(range(8)))
+    offs = st.one_of(st.just(0), st.integers(-1, 1))
+    return unchecked(m, tuple((7,) * max(0, row_width(m, i) + draw(offs))
+                              for i in range(1, n + 1)))
+
+
+def validate_outcome(mat):
+    """None, or the code and message of validate's error, with the row,
+    expected and got of a WrongRowLength."""
+    try:
+        validate(mat)
+    except WrongRowLength as exc:
+        return exc.code, str(exc), exc.row, exc.expected, exc.got
+    except PlatError as exc:
+        return exc.code, str(exc)
+    return None
+
+
+def ref_validate(mat):
+    """The shape rule, checked row by row."""
+    if mat.m < 2:
+        return "WidthTooSmall", f"width m must be >= 2, got {mat.m}"
+    if len(mat.rows) % 2 == 0:
+        return "EvenHeight", f"height n must be odd and >= 1, got {len(mat.rows)}"
+    for i, row in enumerate(mat.rows, start=1):
+        expected = mat.m - 1 if i % 2 == 1 else mat.m
+        if len(row) != expected:
+            return ("WrongRowLength", f"row {i} must have {expected} entries, got {len(row)}",
+                    i, expected, len(row))
+    return None
+
+
 # -- canonical: apply builds each image from checked rows without a second
 # -- check; its oracle is the checked constructor fed by the index formulas
-# -- of apply's docstring, and apply is the oracle of the row-tuple comparisons
+# -- of apply's docstring, and apply is the oracle of the comparisons of rows
+# -- (canonical form, orbit test, symmetry group)
 
 def with_shape(images):
     """Each image with its hash and the types of its rows and entries."""
@@ -142,19 +191,58 @@ def images_by_index(mat):
     return with_shape(images)
 
 
-def row_comparisons(mat):
-    return canonical_form(mat, force=True), symmetry_group(mat)
+def least_image_by_apply(mat):
+    return min((apply(g, mat) for g in ELEMENTS), key=lambda t: t.entries())
 
 
-def images_by_apply(mat):
-    images = [apply(g, mat) for g in ELEMENTS]
-    return (min(images, key=lambda t: t.entries()),
-            tuple(g for g, t in zip(ELEMENTS, images) if t == mat))
+def fixed_by(g, mat):
+    """``mat`` made fixed by ``g``: of each two positions ``g`` swaps, the
+    later takes the entry of the earlier."""
+    h, v = FLIPS[g]
+    n, rows = mat.n, mat.rows
+
+    def source(i, j, w):
+        return min((i, j), (n - 1 - i if h else i, w - 1 - j if v else j))
+
+    return TwistMatrix(mat.m, [[rows[a][b] for a, b in (source(i, j, len(row))
+                                                        for j in range(len(row)))]
+                               for i, row in enumerate(rows)])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Any matrix made fixed by up to two rotations (palindromic rows, a
+    palindromic row sequence, both, or the HV mirror), so every subgroup
+    appears: a random matrix is almost never symmetric."""
+    mat = draw(any_matrices())
+    for g in draw(st.lists(st.sampled_from(ELEMENTS), max_size=2)):
+        mat = fixed_by(g, mat)
+    return mat
+
+
+# one matrix fixed by each subgroup: {id}, {id, h}, {id, v}, {id, hv}, all four
+SUBGROUP_EXAMPLES = tuple(TwistMatrix(4, rows) for rows in (
+    [(-4, -4, -4), (-4, 6, -4, -4), (-4, -4, -6)],
+    [(4, 5, 6), (4, 5, 6, 7), (4, 5, 6)],
+    [(4, 5, 4), (6, 7, 7, 6), (8, 9, 8)],
+    [(4, 5, 6), (7, 8, 8, 7), (6, 5, 4)],
+    [(4, 3, 4), (6, -4, -4, 6), (4, 3, 4)],
+))
+
+
+def symmetries_by_apply(mat):
+    return tuple(g for g in ELEMENTS if apply(g, mat) == mat)
 
 
 def compare_canonical_forms(a, b, force):
     """The definition equivalent had before it computed one canonical form."""
     return canonical_form(a, force) == canonical_form(b, force)
+
+
+# the rows of the second matrix are the first rows of the first: only the
+# heights tell them apart
+PREFIX_PAIR = (TwistMatrix(4, [(-4,) * 3, (-4,) * 4] * 2 + [(-4,) * 3]),
+               TwistMatrix(4, [(-4,) * 3, (-4,) * 4, (-4,) * 3]))
 
 
 def orbit_verdicts(verdict):
@@ -176,6 +264,28 @@ def ref_evaluate(coeffs):
 def alternate(coeffs):
     """[a_1, -a_2, a_3, ..., -a_(n-1), a_n]"""
     return [a if i % 2 == 0 else -a for i, a in enumerate(coeffs)]
+
+
+@st.composite
+def width_2_plats(draw):
+    """Odd-length coefficient lists with the width-2 matrix of these twists:
+    odd rows (a,), even rows (a, 0) or (0, a), the slot drawn."""
+    coeffs = draw(coeff_lists(9).filter(odd_length))
+    rows = [(a,) if i % 2 == 0 else draw(st.sampled_from([(a, 0), (0, a)]))
+            for i, a in enumerate(coeffs)]
+    return coeffs, TwistMatrix(2, rows)
+
+
+def schubert_numerator(case):
+    """|p| of the Schubert pair, and whether p is odd."""
+    (p,) = {abs(r.numerator) for r in schubert_pair(case[0])}
+    return p, p % 2 == 1
+
+
+def closure_topology(case):
+    """The determinant of the standard closure, and whether it is a knot."""
+    word = to_braid_word(case[1])
+    return closure_determinant(word, STANDARD), closure_components(word, STANDARD) == 1
 
 
 def numerator_digits(coeffs):
@@ -216,14 +326,21 @@ ROWS = DIAGRAM_ROWS + (
     Row("braid.runs", runs_view, letter_walks, run_pairs(), 100),
     Row("canonical.apply", lambda mat: with_shape([apply(g, mat) for g in ELEMENTS]),
         images_by_index, any_matrices(), 300, deadline=None),
-    Row("canonical.rows", row_comparisons, images_by_apply, any_matrices(), 300, deadline=None),
+    Row("canonical.rows", lambda mat: canonical_form(mat, force=True), least_image_by_apply,
+        any_matrices(), 300, deadline=None),
     Row("canonical.orbit", orbit_verdicts(equivalent), orbit_verdicts(compare_canonical_forms),
-        matrix_pairs(), 300, deadline=None),
+        matrix_pairs(), 300, examples=(PREFIX_PAIR,), deadline=None),
+    Row("canonical.symmetry", symmetry_group, symmetries_by_apply, symmetric_matrices(), 300,
+        examples=SUBGROUP_EXAMPLES, deadline=None),
+    Row("plat.validate", validate_outcome, ref_validate, unchecked_shapes(), 300),
     Row("twobridge.evaluate", lambda c: outcome(cf_evaluate, c), lambda c: outcome(ref_evaluate, c),
         st.lists(st.integers(-5, 5), min_size=1, max_size=15), 400),
     Row("twobridge.schubert", schubert_pair,
         lambda c: frozenset({ref_evaluate(alternate(c)), ref_evaluate(alternate(c[::-1]))}),
         coeff_lists(25).filter(odd_length), 400),
+    # topology, not a second copy of the recurrence: a width-2 plat's
+    # standard closure is the 2-bridge link of its twists
+    Row("twobridge.determinant", schubert_numerator, closure_topology, width_2_plats(), 200),
     Row("twobridge.reconstruct", lambda c: cf_reconstruct(ref_evaluate(c)), tuple,
         coeff_lists(25), 400),
     # |a| - 1 a power of two makes the bit-length step of the digit bound exact

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from platknot import (
     PlatClosureStyle,
@@ -49,18 +49,8 @@ class TestValidate:
     def test_example_matrix_ok(self, example_matrix):
         validate(example_matrix)
 
-    def test_even_height(self):
-        with pytest.raises(EvenHeight):
-            validate(TwistMatrix(4, [(-4, -4, -4), (-4, -4, -4, -4)]))
-
-    def test_wrong_row_length(self):
-        with pytest.raises(WrongRowLength) as exc:
-            validate(TwistMatrix(4, [(-4, -4, -4), (-4, -4, -4), (-4, -4, -4)]))
-        assert exc.value.row == 2
-
-    def test_width_too_small(self):
-        with pytest.raises(WidthTooSmall):
-            validate(TwistMatrix(1, [()]))
+    # validate on shapes no constructor builds: the plat.validate row of
+    # tests/test_differential.py
 
     @pytest.mark.parametrize("build", [
         lambda m, rows: TwistMatrix(m, rows),
@@ -98,6 +88,11 @@ class TestHighlyTwisted:
 
     def test_any_matrix_is_0_highly_twisted(self, example_matrix):
         assert is_highly_twisted(example_matrix, 0)
+
+    @settings(deadline=None)
+    @given(mat=any_matrices(), c=st.integers(-2, 12) | st.integers())
+    def test_every_entry_is_checked_for_any_c(self, mat, c):
+        assert is_highly_twisted(mat, c) == all(abs(a) >= c for a in mat.entries())
 
 
 class TestToBraidWord:
