@@ -13,6 +13,10 @@ For 4-highly twisted plats of width >= 4 and odd height >= 3 the rotation
 orbit is a complete isotopy invariant, so the orbit minimum is a canonical
 form, and one canonical form plus an orbit test decides equivalence: the
 other matrix is equivalent iff one of its four images is that minimum.
+Outside them a rotation is still an isotopy: :func:`equivalent` proves
+rotation-equal matrices equivalent and refuses any other pair with the code
+of the failing hypothesis; a forced :func:`canonical_form` is a normal form
+of the diagram only.
 
 A :class:`TwistMatrix` is checked when built, so :func:`apply`, the public
 action, builds each image from the input's rows without checking them
@@ -29,7 +33,7 @@ import enum
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .errors import FormatError, NotHighlyTwisted
+from .errors import DimensionsOutOfTheoremRange, FormatError, NotHighlyTwisted
 from .plat import TwistMatrix, check_theorem_range, is_highly_twisted, validate
 
 __all__ = ["SymmetryElement", "apply", "canonical_form", "equivalent", "symmetry_group"]
@@ -72,6 +76,13 @@ def _maps_onto(g: SymmetryElement, rows: tuple[tuple[int, ...], ...],
     return all(map(eq, _image_rows(g, rows), target))
 
 
+def _in_orbit(rows: tuple[tuple[int, ...], ...],
+              target: tuple[tuple[int, ...], ...]) -> bool:
+    """Does a rotation map ``rows`` onto ``target``?  Heights are compared
+    first; checked rows of one height fix the width."""
+    return len(rows) == len(target) and any(_maps_onto(g, rows, target) for g in ELEMENTS)
+
+
 def apply(g: SymmetryElement, mat: TwistMatrix) -> TwistMatrix:
     """Coefficient action of a rotation; entries keep their signs.
 
@@ -112,22 +123,26 @@ def canonical_form(mat: TwistMatrix, force: bool = False) -> TwistMatrix:
     return min((apply(g, mat) for g in ELEMENTS), key=lambda t: t.rows)
 
 
-def equivalent(mat1: TwistMatrix, mat2: TwistMatrix, force: bool = False) -> bool:
-    """Do the two plats close up to the same knot or link?
+def equivalent(mat1: TwistMatrix, mat2: TwistMatrix) -> bool:
+    """Do the two plats close up to the same knot or link?  Only what can be
+    proved is answered.
 
-    True iff the canonical forms coincide; within the theorem's hypotheses
-    this equals ambient-isotopy equivalence of the plat closures.  With
-    ``force`` outside them, True is still a proof (a rotation is an
-    isotopy), but False means only "not rotation-equal": the closures may
-    still be isotopic.  Orbits are equal or disjoint, so ``mat1``'s orbit
-    minimum lies in ``mat2``'s orbit exactly when the minima coincide: one
-    canonical form and an orbit test over rows decide it, after ``mat2``
-    passes the same checks.
+    True when a rotation, an isotopy of any plat, maps one matrix onto the
+    other.  False when they are not rotation-equal and both are inside the
+    theorem's hypotheses.  Any other pair raises the code of the first
+    failing check, ``mat1``'s before ``mat2``'s: DimensionsOutOfTheoremRange
+    or NotHighlyTwisted (rotations keep m, n and the entries, so a pair with
+    one matrix outside is never rotation-equal).  Orbits are equal or
+    disjoint, so one canonical form and an orbit test decide the rest.
     """
-    canon = canonical_form(mat1, force)
-    _check_hypotheses(mat2, force)  # checked rows fix the width: row 1 has m - 1 entries
-    rows, target = mat2.rows, canon.rows
-    return len(rows) == len(target) and any(_maps_onto(g, rows, target) for g in ELEMENTS)
+    try:
+        target = canonical_form(mat1).rows
+        _check_hypotheses(mat2, False)
+    except (DimensionsOutOfTheoremRange, NotHighlyTwisted):
+        if _in_orbit(mat2.rows, mat1.rows):
+            return True
+        raise
+    return _in_orbit(mat2.rows, target)
 
 
 def symmetry_group(mat: TwistMatrix) -> tuple[SymmetryElement, ...]:

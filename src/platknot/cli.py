@@ -1,11 +1,10 @@
 """Command-line interface: one ``plat`` binary exposing every operation.
 
 Exit codes: 0 success (or positive decision), 1 negative decision (e.g.
-``equiv`` on inequivalent plats), 2 usage or precondition failure, or no
-decision (``Undecided``: ``equiv --force`` on plats that are not
-rotation-equal, one of them outside the theorem's hypotheses).  All
-domain errors print a machine-parsable code on stderr; ``--json`` switches
-stdout to JSON lines.
+``equiv`` on inequivalent plats), 2 usage or precondition failure (for
+``equiv``, also plats outside the theorem's hypotheses that are not
+rotation-equal).  All domain errors print a machine-parsable code on
+stderr; ``--json`` switches stdout to JSON lines.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import (DimensionsOutOfTheoremRange, FormatError, NotHighlyTwisted, PlatError,
-                     TooManyDigits, Undecided)
+from .errors import FormatError, PlatError, TooManyDigits
 from .plat import (
     PlatClosureStyle,
     TwistMatrix,
@@ -83,17 +81,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    mat1, mat2 = _load_matrix(args.file1), _load_matrix(args.file2)
-    try:
-        same = canonical.equivalent(mat1, mat2)
-    except (DimensionsOutOfTheoremRange, NotHighlyTwisted):
-        if not args.force:
-            raise
-        # outside the theorem a rotation still proves "equivalent"; its absence proves nothing
-        if not canonical.equivalent(mat1, mat2, force=True):
-            raise Undecided("not rotation-equal; no knot-level answer outside the "
-                            "theorem's hypotheses") from None
-        same = True
+    same = canonical.equivalent(_load_matrix(args.file1), _load_matrix(args.file2))
     _emit(args, {"equivalent": same}, "equivalent" if same else "not equivalent")
     return 0 if same else 1
 
@@ -307,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest crossing count whose Jones polynomial is computed, "
              f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
     seed = _shared_option("--seed", type=int, default=0)
-    force = _shared_option("--force", action="store_true",
-                           help="normalize even outside the uniqueness hypotheses")
     parser = argparse.ArgumentParser(
         prog="plat",
         description="Highly twisted plat diagrams: canonical forms, invariants, "
@@ -324,11 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", _cmd_validate, "check the row-length pattern of a matrix file")
     p.add_argument("file")
 
-    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)", [force])
+    p = add("canon", _cmd_canon, "print the canonical form (rotation-orbit minimum)")
     p.add_argument("file")
+    p.add_argument("--force", action="store_true",
+                   help="normalize even outside the uniqueness hypotheses")
 
-    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no / 2 undecided)",
-            [force])
+    p = add("equiv", _cmd_equiv, "decide plat equivalence (exit 0 yes / 1 no / 2 undecided)")
     p.add_argument("file1")
     p.add_argument("file2")
 

@@ -52,11 +52,6 @@ class WidthTooSmall(PlatError):
     """Twist matrix width below the structural minimum."""
 
 
-class Undecided(PlatError):
-    """The theorem gives no answer: matrices outside its hypotheses that are
-    not rotation-equal may still close to the same knot or link."""
-
-
 class NotHighlyTwisted(PlatError):
     """An operation required every |a_ij| >= c and the input fails it."""
 

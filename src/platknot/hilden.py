@@ -172,7 +172,10 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     (and b2).  If they are not rotation-equal, distinct cosets are expected:
     differing invariants certify that, and no sampled translate may reduce
     to b2 as a word.  Any violation recorded here falsifies the claimed
-    uniqueness and indicates a bug somewhere.
+    uniqueness and indicates a bug somewhere.  Rotation-equal matrices are
+    probed for any plats; every other pair must be inside the theorem's
+    hypotheses, or the code of the failing one is raised, as
+    :func:`~platknot.canonical.equivalent` does.
 
     The closure determinant, of word 2 once and of word 1 and each translate,
     is nearly all the cost, so TooMuchWork is raised before the first one
@@ -183,8 +186,7 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     5 digits) 74 s.
     """
     require_ints(FormatError, "samples and seed", (samples, seed))
-    # canonical_form preconditions are enforced by `equivalent`
-    rotation_related = equivalent(mat1, mat2)
+    rotation_related = equivalent(mat1, mat2)  # raises outside the hypotheses unless True
     work = (1 + samples) * _colouring_bits(mat1) + _colouring_bits(mat2)
     if work > COSET_WORK_BUDGET:
         raise TooMuchWork(f"the coset harness would sweep {shown(work)} colouring bits, "

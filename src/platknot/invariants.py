@@ -19,7 +19,6 @@ conventions.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from math import comb
 from typing import Mapping
 
@@ -371,15 +370,14 @@ def determinant(diagram: PlanarDiagram) -> int:
     determinant of the CLI report; it works on any PD code whose labels
     each sit on two arc ends, and raises FormatError on any other.
 
-    The minor is eliminated on +-1 pivots, pending rows taken smallest first
-    from a heap (a row is queued again when an elimination changes it): a
-    row with a unit entry clears that entry's column, choosing the unit
-    column shared by the fewest rows, the first on a tie (unimodular, so
-    |det| is unchanged), and Bareiss finishes the core that is left.  Split
-    links have determinant 0, as |V(-1)| does: the Wirtinger minor of a
-    split diagram vanishes, and a crossingless circle beside anything else
-    (or an entirely-over circle) splits the diagram.  A lone crossingless
-    circle is the unknot, 1.
+    The minor is eliminated on +-1 pivots in one pass over the rows in row
+    order: a row with a unit entry clears that entry's column, choosing the
+    unit column shared by the fewest rows, the first on a tie (unimodular,
+    so |det| is unchanged), and Bareiss finishes the core that is left.
+    Split links have determinant 0, as |V(-1)| does: the Wirtinger minor of
+    a split diagram vanishes, and a crossingless circle beside anything
+    else (or an entirely-over circle) splits the diagram.  A lone
+    crossingless circle is the unknot, 1.
     """
     rows = _wirtinger_minor(diagram.quadruples)  # checks the code first
     if diagram.free_loops:
@@ -390,12 +388,7 @@ def determinant(diagram: PlanarDiagram) -> int:
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
-    pending = list(range(len(rows)))  # a heap of live rows that may hold a unit entry
-    queued = [True] * len(rows)
-    while pending:
-        p = heappop(pending)
-        queued[p] = False
-        prow = rows[p]
+    for p, prow in enumerate(rows):  # one pass: each row is tried once, in row order
         c, fewest = -1, 0
         for j, v in prow.items():
             if (v == 1 or v == -1) and (c < 0 or len(col_rows[j]) < fewest):
@@ -419,9 +412,6 @@ def determinant(diagram: PlanarDiagram) -> int:
                         col_rows[j].discard(r)
             if not row:
                 return 0
-            if not queued[r]:
-                queued[r] = True
-                heappush(pending, r)
     core = [row for row in rows if row is not None]
     return _bareiss_abs_det([[row.get(j, 0) for j in col_rows] for row in core])
 

@@ -43,7 +43,6 @@ __all__ = [
     "cf_reconstruct",
     "schubert_pair",
     "min_numerator_digits",
-    "twobridge_equivalent",
     "left_boundary_coeffs",
     "right_boundary_coeffs",
 ]
@@ -152,12 +151,6 @@ def min_numerator_digits(coeffs: Iterable[int]) -> int:
     """
     bits = sum((abs(a) - 1).bit_length() - 1 for a in _check_coeffs(coeffs))
     return bits * 30102 // 100000 + 1
-
-
-def twobridge_equivalent(c1: Iterable[int], c2: Iterable[int]) -> bool:
-    """True iff the two coefficient lists give the same 2-bridge link,
-    i.e. iff c2 equals c1 or its reversal."""
-    return schubert_pair(c1) == schubert_pair(c2)
 
 
 def left_boundary_coeffs(mat: TwistMatrix) -> tuple[int, ...]:

@@ -95,38 +95,53 @@ class TestEquiv:
                        "4 3\n-5 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n")
         assert main(["equiv", a, b]) == 1
 
-    def test_precondition_exit_2(self, tmp_path):
-        a = write_plat(tmp_path, "a.plat", "2 1\n5\n")
-        assert main(["equiv", a, a]) == 2
-
     # two width-2 plats a flype apart: both close to one knot (15 crossings,
     # determinant 131), but no rotation maps one onto the other
     FLYPE_PAIR = ("2 3\n5\n-4 0\n6\n", "2 3\n5\n-2 -2\n6\n")
+    LOW = "4 3\n-4 -3 -4\n-4 -4 -4 -4\n-4 -4 -4\n"  # one |a| = 3
 
-    def test_forced_negative_outside_the_theorem_is_undecided(self, tmp_path, capsys):
+    # a rotation is an isotopy of any plat: outside the hypotheses too
+    @pytest.mark.parametrize("text1, text2", [
+        ("2 1\n5\n", "2 1\n5\n"),
+        (FLYPE_PAIR[0], FLYPE_PAIR[0]),
+        (FLYPE_PAIR[0], "2 3\n6\n0 -4\n5\n"),  # the HV image
+        (LOW, "4 3\n-4 -4 -4\n-4 -4 -4 -4\n-4 -3 -4\n"),  # the H image
+    ], ids=["2x1-identical", "flype-identical", "flype-hv", "low-h"])
+    def test_rotation_equal_outside_the_theorem_exit_0(self, tmp_path, capsys, text1, text2):
+        a, b = write_plat(tmp_path, "a.plat", text1), write_plat(tmp_path, "b.plat", text2)
+        assert main(["equiv", a, b]) == 0
+        assert main(["--json", "equiv", b, a]) == 0
+        assert capsys.readouterr() == ("equivalent\n" + '{"equivalent": true}\n', "")
+
+    def test_flype_pair_exit_2_with_the_theorem_code(self, tmp_path, capsys):
         a, b = (write_plat(tmp_path, f"{k}.plat", text) for k, text in zip("ab", self.FLYPE_PAIR))
-        assert main(["equiv", a, b, "--force"]) == 2
+        assert main(["equiv", a, b]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == ("error: Undecided: not rotation-equal; no knot-level answer "
-                                     "outside the theorem's hypotheses\n")
-        assert main(["--json", "equiv", a, b, "--force"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "Undecided"
-        assert main(["equiv", a, b]) == 2  # without --force: refused as before
-        assert "DimensionsOutOfTheoremRange" in capsys.readouterr().err
+        assert out == "" and err == ("error: DimensionsOutOfTheoremRange: need m >= 4 and odd "
+                                     "n >= 3, got m=2, n=3\n")
+        assert main(["--json", "equiv", a, b]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "DimensionsOutOfTheoremRange"
 
-    def test_forced_answers_that_are_proofs_stay(self, tmp_path, example_matrix, capsys):
-        # a rotation proves equivalence anywhere; inside the hypotheses a
-        # forced "no" is the theorem's
-        low = write_plat(tmp_path, "low.plat", self.FLYPE_PAIR[0])
-        flipped = write_plat(tmp_path, "flipped.plat", "2 3\n6\n0 -4\n5\n")
+    @pytest.mark.parametrize("outside, code", [(FLYPE_PAIR[0], "DimensionsOutOfTheoremRange"),
+                                               (LOW, "NotHighlyTwisted")])
+    def test_one_file_inside_one_outside_exit_2_with_its_code(self, tmp_path, example_matrix,
+                                                              capsys, outside, code):
         a = write_plat(tmp_path, "a.plat", example_matrix.to_text())
-        b = write_plat(tmp_path, "b.plat", "4 3\n-5 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n")
-        assert main(["equiv", low, flipped, "--force"]) == 0
-        assert main(["equiv", a, b, "--force"]) == 1
-        assert capsys.readouterr().out == "equivalent\nnot equivalent\n"
-        # one matrix inside, the other outside: no knot-level "no" either
-        assert main(["equiv", a, low, "--force"]) == 2
-        assert capsys.readouterr().err.startswith("error: Undecided")
+        b = write_plat(tmp_path, "b.plat", outside)
+        for pair in ([a, b], [b, a]):
+            assert main(["equiv", *pair]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {code}: ")
+
+    def test_first_failing_check_is_reported(self, tmp_path, capsys):
+        # the first file's checks come before the second's
+        low = write_plat(tmp_path, "low.plat", self.LOW)
+        flype = write_plat(tmp_path, "flype.plat", self.FLYPE_PAIR[0])
+        assert main(["equiv", low, flype]) == 2
+        assert capsys.readouterr().err.startswith("error: NotHighlyTwisted: ")
+        assert main(["equiv", flype, low]) == 2
+        assert capsys.readouterr().err.startswith("error: DimensionsOutOfTheoremRange: ")
 
     @pytest.mark.parametrize("argv", [["equiv"], ["hilden", "coset"]])
     def test_malformed_second_file_is_refused_when_read(self, tmp_path, capsys, argv):
@@ -285,6 +300,8 @@ REJECTED = (
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
        (["spheres", "--m", "100", "--n", "2"], None, "DimensionsOutOfTheoremRange")]
+    # --force is canon's only; equiv decides what it can prove without it
+    + [(["equiv", "FILE", "FILE", "--force"], EXAMPLE_TEXT, "--force")]
     + [(["validate", "FILE"], LONG_INT_JSON, "FormatError"),
        (["canon", "FILE"], DEEP_JSON, "FormatError")]
     # exact results past the digit limit, and --rational bounded before it is built

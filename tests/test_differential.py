@@ -245,8 +245,11 @@ PREFIX_PAIR = (TwistMatrix(4, [(-4,) * 3, (-4,) * 4] * 2 + [(-4,) * 3]),
                TwistMatrix(4, [(-4,) * 3, (-4,) * 4, (-4,) * 3]))
 
 
-def orbit_verdicts(verdict):
-    return lambda pair: (verdict(*pair, True), outcome(verdict, *pair, False))
+def proved_verdict(pair):
+    """What equivalent must answer: True for rotation-equal matrices, whose
+    forced canonical forms coincide, for any plats; else the outcome of the
+    unforced comparison, False or the code of the failing hypothesis."""
+    return compare_canonical_forms(*pair, True) or outcome(compare_canonical_forms, *pair, False)
 
 
 # -- twobridge: the plain Fraction evaluation the integer kernels replaced
@@ -328,7 +331,7 @@ ROWS = DIAGRAM_ROWS + (
         images_by_index, any_matrices(), 300, deadline=None),
     Row("canonical.rows", lambda mat: canonical_form(mat, force=True), least_image_by_apply,
         any_matrices(), 300, deadline=None),
-    Row("canonical.orbit", orbit_verdicts(equivalent), orbit_verdicts(compare_canonical_forms),
+    Row("canonical.orbit", lambda pair: outcome(equivalent, *pair), proved_verdict,
         matrix_pairs(), 300, examples=(PREFIX_PAIR,), deadline=None),
     Row("canonical.symmetry", symmetry_group, symmetries_by_apply, symmetric_matrices(), 300,
         examples=SUBGROUP_EXAMPLES, deadline=None),

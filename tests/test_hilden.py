@@ -6,7 +6,8 @@ import pytest
 
 from platknot import TwistMatrix, braid_closure, hilden
 from platknot.braid import BraidWord, compose, permutation
-from platknot.errors import FormatError, IndexParity, IndexRange, TooMuchWork
+from platknot.errors import (DimensionsOutOfTheoremRange, FormatError, IndexParity, IndexRange,
+                             NotHighlyTwisted, TooMuchWork)
 from platknot.hilden import (
     HildenMove,
     apply_moves,
@@ -176,6 +177,9 @@ def thick_matrix(rows):
 M1 = thick_matrix([(-4, -4, -4), (-4, 6, -4, -4), (-4, -4, -6)])
 M1_ROT = thick_matrix([(-4, -4, -6), (-4, 6, -4, -4), (-4, -4, -4)])  # H image
 M2 = thick_matrix([(-4, -4, -4), (-4, 6, -4, -4), (-4, -4, -7)])      # a_33 changed
+# outside the theorem's hypotheses: a width-2 plat, and M1 with one |a| = 3
+FLYPE = TwistMatrix(2, [(5,), (-4, 0), (6,)])
+M1_LOW = thick_matrix([(-4, -3, -4), (-4, 6, -4, -4), (-4, -4, -6)])
 
 
 class TestCosetConsistency:
@@ -194,6 +198,20 @@ class TestCosetConsistency:
         assert report.verdict == "provably_distinct"
         assert report.consistent
         assert report.invariants1["determinant"] != report.invariants2["determinant"]
+
+    def test_rotation_equal_width_2_pair_is_same_coset(self):
+        report = coset_consistency(FLYPE, TwistMatrix(2, [(6,), (0, -4), (5,)]),  # HV image
+                                   samples=4, seed=2)
+        assert report.verdict == "same_coset" and report.rotation_related
+        assert report.consistent and report.invariants1["determinant"] == 131
+
+    @pytest.mark.parametrize("mat1, mat2, error", [
+        (FLYPE, TwistMatrix(2, [(5,), (-2, -2), (6,)]), DimensionsOutOfTheoremRange),  # a flype
+        (M1, M1_LOW, NotHighlyTwisted),
+    ], ids=["flype", "low"])
+    def test_outside_the_theorem_and_not_rotation_equal_raises(self, mat1, mat2, error):
+        with pytest.raises(error):
+            coset_consistency(mat1, mat2, samples=4, seed=2)
 
     @pytest.mark.parametrize("samples,seed", [(2.5, 0), (2.0, 0), (False, 0), (2, 0.5), (2, "0")])
     def test_samples_and_seed_must_be_exact_ints(self, samples, seed):

@@ -19,7 +19,6 @@ from platknot.twobridge import (
     min_numerator_digits,
     right_boundary_coeffs,
     schubert_pair,
-    twobridge_equivalent,
 )
 
 from conftest import coeff_lists
@@ -139,13 +138,13 @@ class TestSchubertPair:
 
 class TestEquivalence:
     def test_reversal_is_equivalent(self):
-        assert twobridge_equivalent((3, 3, 4), (4, 3, 3))
+        assert schubert_pair((3, 3, 4)) == schubert_pair((4, 3, 3))
 
     def test_reflexive(self):
-        assert twobridge_equivalent((3, 3, 4), (3, 3, 4))
+        assert schubert_pair((3, 3, 4)) == schubert_pair((3, 3, 4))
 
     def test_non_reversal_is_inequivalent(self):
-        assert not twobridge_equivalent((3, 3, 4), (3, 4, 3))
+        assert schubert_pair((3, 3, 4)) != schubert_pair((3, 4, 3))
 
 
 class TestBoundaryCoeffs:
@@ -192,7 +191,7 @@ class TestCoefficientBoundary:
 
     def test_iterator_gives_the_same_schubert_pair(self):
         assert schubert_pair(iter([3, 3, 4])) == schubert_pair([3, 3, 4])
-        assert twobridge_equivalent(iter([3, 3, 4]), iter([4, 3, 3]))
+        assert schubert_pair(iter([3, 3, 4])) == schubert_pair(iter([4, 3, 3]))
 
     @pytest.mark.parametrize("f", [cf_evaluate, schubert_pair])
     @pytest.mark.parametrize("coeffs", [5, None, 3.0])
