@@ -9,6 +9,12 @@ crossings.  Letters act top to bottom as drawn in braid diagrams, and
 
 Only free reduction is performed here; braid relations are never applied.
 Equivalence questions are decided at the twist-matrix level.
+
+The constructor is the one check of runs that come from outside.
+:func:`inverse`, :func:`free_reduce` and :func:`compose` build their results
+from words that are already normal and keep them normal (reversing and
+negating every run, a stack that never leaves two adjacent runs on one
+generator, a merge of same-sign runs at each seam), so they skip it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "CROSSING_BUDGET",
     "BraidLetter",
     "BraidWord",
+    "budgeted_crossings",
     "compose",
     "inverse",
     "free_reduce",
@@ -75,6 +82,14 @@ class BraidWord:
             raise IndexRange("runs must be an iterable of (index, exponent) pairs") from None
         object.__setattr__(self, "runs", tuple(out))
 
+    def _with_runs(self, runs: tuple[tuple[int, int], ...]) -> "BraidWord":
+        """A word on this word's strands whose ``runs``, a tuple of pairs, are
+        already normal; built without checking them again."""
+        word = object.__new__(BraidWord)
+        object.__setattr__(word, "strands", self.strands)
+        object.__setattr__(word, "runs", runs)
+        return word
+
     def __len__(self) -> int:
         """The crossing count; TooManyCrossings where ``len()`` cannot return it."""
         crossings = sum(abs(exp) for _, exp in self.runs)
@@ -86,29 +101,42 @@ class BraidWord:
     def letters(self) -> tuple[BraidLetter, ...]:
         """One letter per crossing; TooManyCrossings above CROSSING_BUDGET,
         checked before anything is expanded."""
-        crossings = sum(abs(exp) for _, exp in self.runs)
-        if crossings > CROSSING_BUDGET:
-            raise TooManyCrossings(crossings, CROSSING_BUDGET)
+        budgeted_crossings(self)
         out: list[BraidLetter] = []
         for index, exp in self.runs:
             out.extend([BraidLetter(index, 1 if exp > 0 else -1)] * abs(exp))
         return tuple(out)
 
 
+def budgeted_crossings(a: BraidWord) -> int:
+    """The crossing count of ``a``; TooManyCrossings above CROSSING_BUDGET.
+    Every reader that expands crossings calls it before allocating any."""
+    crossings = sum(abs(exp) for _, exp in a.runs)
+    if crossings > CROSSING_BUDGET:
+        raise TooManyCrossings(crossings, CROSSING_BUDGET)
+    return crossings
+
+
 def compose(first: BraidWord, *rest: BraidWord) -> BraidWord:
-    """Concatenate words, each stacked above the next, into one checked word;
+    """Concatenate words, each stacked above the next, into one normal word;
     same-sign runs merge at the seams, nothing cancels."""
     runs = list(first.runs)
     for word in rest:
         if word.strands != first.strands:
             raise StrandMismatch(f"{first.strands} strands vs {word.strands} strands")
+        if runs and word.runs:
+            (i, e), (j, f) = runs[-1], word.runs[0]
+            if i == j and (e > 0) == (f > 0):  # the only place two normal words can need a merge
+                runs[-1] = (i, e + f)
+                runs += word.runs[1:]
+                continue
         runs += word.runs
-    return BraidWord(first.strands, runs)
+    return first._with_runs(tuple(runs))
 
 
 def inverse(a: BraidWord) -> BraidWord:
     """Reverse the run order and negate every exponent."""
-    return BraidWord(a.strands, tuple((i, -e) for i, e in reversed(a.runs)))
+    return a._with_runs(tuple((i, -e) for i, e in reversed(a.runs)))
 
 
 def free_reduce(a: BraidWord) -> BraidWord:
@@ -116,7 +144,8 @@ def free_reduce(a: BraidWord) -> BraidWord:
 
     The result is independent of deletion order, so one left-to-right stack
     pass over the runs suffices: adjacent runs on the stack never share a
-    generator, so a run only ever combines with the top one.
+    generator, so a run only ever combines with the top one, and the stack
+    is a normal word as it stands.
     """
     out: list[tuple[int, int]] = []
     for index, exp in a.runs:
@@ -125,7 +154,7 @@ def free_reduce(a: BraidWord) -> BraidWord:
             if not exp:
                 continue
         out.append((index, exp))
-    return BraidWord(a.strands, tuple(out))
+    return a._with_runs(tuple(out))
 
 
 def permutation(a: BraidWord) -> tuple[int, ...]:

@@ -104,18 +104,17 @@ def _generator_words(strands: int) -> tuple[BraidWord, ...]:
 def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
     """Product of ``length`` uniformly chosen generators or their inverses,
     deterministic in ``seed``.  The generator words come from a table built
-    once per strand count, in the order of :func:`hilden_generators`."""
-    BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
+    once per strand count, in the order of :func:`hilden_generators`, and
+    one :func:`compose` joins the words drawn."""
+    empty = BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
     require_ints(FormatError, "length and seed", (length, seed))
     rng = random.Random(seed)
     gens = _generator_words(strands)
-    runs: list[tuple[int, int]] = []
+    words = []
     for _ in range(length):
         g = gens[rng.randrange(len(gens))]
-        if rng.randrange(2):
-            g = inverse(g)
-        runs.extend(g.runs)
-    return BraidWord(strands, tuple(runs))
+        words.append(inverse(g) if rng.randrange(2) else g)
+    return compose(empty, *words)
 
 
 @dataclass(frozen=True)

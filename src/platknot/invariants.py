@@ -356,8 +356,9 @@ def closure_determinant(word: BraidWord,
         col[p] = col[q] = 1
         for i, a in runs:
             x, y = col[i], col[i + 1]
-            d = a * (x - y)
-            col[i], col[i + 1] = x + d, y + d
+            if x != y:  # else d = 0: the run leaves the colours as they are
+                d = a * (x - y)
+                col[i], col[i + 1] = x + d, y + d
         minor.append([col[p] - col[q] for p, q in bottom])
     return _bareiss_abs_det(minor)  # the transposed minor: same |det|
 
@@ -398,18 +399,18 @@ def determinant(diagram: PlanarDiagram) -> int:
         rows[p] = None
         for j in prow:
             col_rows[j].discard(p)
+        pivot = prow.pop(c)  # prow now holds the rest of the pivot row
         for r in col_rows.pop(c):
             row = rows[r]
-            f = row.pop(c) * prow[c]
+            f = row.pop(c) * pivot
             for j, v in prow.items():
-                if j != c:
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                        col_rows[j].add(r)
-                    else:
-                        del row[j]
-                        col_rows[j].discard(r)
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    col_rows[j].add(r)
+                else:
+                    del row[j]
+                    col_rows[j].discard(r)
             if not row:
                 return 0
     core = [row for row in rows if row is not None]
@@ -444,12 +445,17 @@ def _wirtinger_minor(quads) -> list[dict[int, int]] | None:
     if -1 in gen:
         return None
 
-    # first minors at t=-1 agree up to sign, so drop the last row and column
-    rows = []
+    # first minors at t=-1 agree up to sign, so drop the last row and column;
+    # each row is filled over, under_in, under_out, in that order
+    last, rows = cols - 1, []
     for b in range(0, len(mate) - 4, 4):
+        over, under_in, under_out = gen[b + 1], gen[b], gen[b + 2]
         row: dict[int, int] = {}
-        for j, v in ((gen[b + 1], 2), (gen[b], -1), (gen[b + 2], -1)):
-            if j < cols - 1:
-                row[j] = row.get(j, 0) + v
-        rows.append({j: v for j, v in row.items() if v})
+        if over < last:
+            row[over] = 2
+        if under_in < last:
+            row[under_in] = row.get(under_in, 0) - 1
+        if under_out < last:
+            row[under_out] = row.get(under_out, 0) - 1
+        rows.append({} if over == under_in == under_out else row)  # 2 - 1 - 1 = 0
     return rows

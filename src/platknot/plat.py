@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import itemgetter
 
-from .braid import BraidWord, permutation
+from .braid import BraidWord, budgeted_crossings, permutation
 from .errors import (
     DimensionsOutOfTheoremRange,
     EvenHeight,
@@ -217,12 +217,14 @@ def check_style(style: PlatClosureStyle) -> None:
         raise FormatError(f"closure style must be a PlatClosureStyle, got {type(style).__name__}")
 
 
-# Crossing corners.  Braids are drawn top to bottom; NW/NE are the incoming ends.
+# Crossing corners.  Braids are drawn top to bottom; NW/NE are the incoming
+# ends, and a strand leaves through the opposite corner, corner ^ 3.
 _NW, _NE, _SW, _SE = 0, 1, 2, 3
-_OPPOSITE = (_SE, _SW, _NE, _NW)          # strands swap columns through a crossing
 _CCW_NEXT = (_SW, _NW, _SE, _NE)          # counterclockwise successor of each corner
-_CCW_FROM = ((_NW, _SW, _SE, _NE), (_NE, _NW, _SW, _SE),  # all four, counterclockwise
-             (_SW, _SE, _NE, _NW), (_SE, _NE, _NW, _SW))  # from each corner
+_CCW_FROM = tuple(itemgetter(*corners) for corners in (  # all four, counterclockwise
+    (_NW, _SW, _SE, _NE), (_NE, _NW, _SW, _SE), (_SW, _SE, _NE, _NW), (_SE, _NE, _NW, _SW)))
+_POSITIVE_OVER = (True, False, False, True)  # per corner: NW-SE is over iff positive
+_NEGATIVE_OVER = (False, True, True, False)
 
 
 @dataclass(frozen=True)
@@ -306,9 +308,9 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     """Close a braid word with bridge arcs and return its planar diagram.
 
     Closure arcs are nested in the projection plane and carry no crossings,
-    so the diagram has exactly len(word) crossings.  It reads the word's
-    bounded letter view, so it raises TooManyCrossings above
-    ``braid.CROSSING_BUDGET`` before building anything.
+    so the diagram has exactly len(word) crossings.  It raises
+    TooManyCrossings above ``braid.CROSSING_BUDGET`` before building
+    anything.
 
     Arcs are labelled 1..2*len(word) in traversal order, which also fixes
     the component order and orientation.  The first component is entered at
@@ -316,67 +318,97 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     at the first end of the first unvisited arc.  Ends are ordered by
     (segment, crossing, corner); segments run over the top bridges left to
     right, then over each crossing's two outputs in braid order.
+
+    Each crossing input is linked to the output port that hangs above it,
+    so the crossings of a run join by slices.  Only the inputs that reach a
+    top bridge and the outputs that reach a bottom bridge are left over; a
+    union-find over the top bridges joins them along chains of bridges, and
+    a chain with no crossing ends is a free circle.
     """
     check_style(style)
-    letters = word.letters  # the budget check, before anything is allocated
+    ports = 4 * budgeted_crossings(word)  # before anything is allocated
     top_pairs, bottom_pairs = style.bridges(word.strands)
 
-    # Port 4k + corner is a corner of crossing k.  A strand segment is born
-    # at top bridge j (segment j) or at crossing k's SW/SE outputs (segments
-    # len(top_pairs) + 2k, + 2k + 1) and dies at crossing inputs or bottom
-    # bridges; ports[s] lists the crossing ends of segment s.
+    # Port 4k + corner is a corner of crossing k; partner[port] is the other
+    # end of the arc at it.  cur[pos] is what hangs at strand position pos:
+    # the SW or SE output port of the last crossing there, or ~j for top
+    # bridge j, whose crossing inputs are listed in tops[j].
+    partner, over_at = [0] * ports, []  # over_at[port]: entering there passes over
     cur = [0] * (word.strands + 1)
     for j, (p, q) in enumerate(top_pairs):
-        cur[p] = cur[q] = j
-    ports: list[list[int]] = [[] for _ in top_pairs]
-    for k, (i, _) in enumerate(letters):
-        ports[cur[i]].append(4 * k + _NW)
-        ports[cur[i + 1]].append(4 * k + _NE)
-        cur[i], cur[i + 1] = len(ports), len(ports) + 1
-        ports += [4 * k + _SW], [4 * k + _SE]
+        cur[p] = cur[q] = ~j
+    tops: list[list[int]] = [[] for _ in top_pairs]
+    b = 0  # the NW port of the run's first crossing
+    for i, exp in word.runs:
+        for port, above in ((b, cur[i]), (b + 1, cur[i + 1])):
+            if above < 0:
+                tops[~above].append(port)
+            else:
+                partner[port], partner[above] = above, port
+        end = b + 4 * abs(exp)
+        # SW of each crossing feeds NW of the next, SE feeds NE
+        partner[b + 2:end - 2:4] = range(b + 4, end, 4)
+        partner[b + 4:end:4] = range(b + 2, end - 2, 4)
+        partner[b + 3:end - 1:4] = range(b + 5, end, 4)
+        partner[b + 5:end:4] = range(b + 3, end - 1, 4)
+        over_at += (_POSITIVE_OVER if exp > 0 else _NEGATIVE_OVER) * abs(exp)
+        cur[i], cur[i + 1] = end - 2, end - 1
+        b = end
 
-    # Bottom bridges merge segments (union-find); each class with ports is
-    # an arc (edge) of the 4-valent diagram, each class without a free circle.
-    parent = list(range(len(ports)))
+    # Bottom bridges: two outputs make an arc; a top bridge joins the chain
+    # (union-find) of the other end.  Each chain's ends, top-bridge inputs in
+    # bridge order and then outputs in port order, make an arc or none.
+    root = list(range(len(top_pairs)))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
         return x
 
+    hanging = []  # (output port, top bridge) met at a bottom bridge
     for p, q in bottom_pairs:
-        parent[find(cur[q])] = find(cur[p])
-    ends: dict[int, list[int]] = {}  # arc root -> its ends, in segment order
-    for s, seg_ports in enumerate(ports):
-        if seg_ports:
-            ends.setdefault(find(s), []).extend(seg_ports)
-    free_circles = len({find(j) for j in range(len(top_pairs))} - ends.keys())
-    partner = [0] * (4 * len(letters))  # the other end of the arc at each port
-    for arc in ends.values():
-        if len(arc) != 2:
+        x, y = cur[p], cur[q]
+        if x >= 0 and y >= 0:
+            partner[x], partner[y] = y, x
+        elif x < 0 and y < 0:
+            root[find(~y)] = find(~x)
+        else:
+            hanging.append((x, ~y) if x >= 0 else (y, ~x))
+    ends: list[list[int]] = [[] for _ in top_pairs]  # per chain root
+    for j, inputs in enumerate(tops):
+        ends[find(j)] += inputs
+    for port, j in sorted(hanging):
+        ends[find(j)].append(port)
+    free_circles = 0
+    for j, arc in enumerate(ends):
+        if root[j] != j:
+            continue
+        if not arc:
+            free_circles += 1
+        elif len(arc) != 2:
             raise InternalError("a diagram arc does not have exactly two ends")
-        partner[arc[0]], partner[arc[1]] = arc[1], arc[0]
+        else:
+            partner[arc[0]], partner[arc[1]] = arc[1], arc[0]
 
     # Traversal: entering crossing k at a corner labels the arc just walked
     # (at both its ends), records the entry corner of the under or over
-    # strand, and leaves through the opposite corner.
-    label, labelled = [0] * len(partner), 0
-    entry = [[0, 0] for _ in letters]  # per crossing: [under, over] entry corner
+    # strand, and leaves through the opposite corner, port ^ 3.  The first
+    # crossing of a component has an input at a top bridge, so after the arc
+    # through the leftmost top bridge the first input of each top bridge, in
+    # bridge order, starts every later component at its first arc.
+    label, labelled = [0] * ports, 0
+    entry = [0] * (ports // 2)  # entry[2k + passes_over]: the corner entered
     visits: list[tuple[tuple[int, bool], ...]] = []
-    starts = [arc[0] for arc in ends.values()]
-    if find(0) in ends:
-        starts.insert(0, ends[find(0)][0])  # leftmost top bridge
-    for port in starts:
+    for port in ends[find(0)][:1] + [inputs[0] for inputs in tops if inputs]:
         comp: list[tuple[int, bool]] = []
         while not label[port]:
             labelled += 1
             label[port] = label[partner[port]] = labelled
-            k, corner = divmod(port, 4)
-            over = (corner in (_NW, _SE)) == (letters[k].sign > 0)  # NW-SE is over iff positive
-            comp.append((k, over))
-            entry[k][over] = corner
-            port = partner[4 * k + _OPPOSITE[corner]]
+            k, passes = port >> 2, over_at[port]
+            comp.append((k, passes))
+            entry[2 * k + passes] = port & 3
+            port = partner[port ^ 3]
         if comp:
             visits.append(tuple(comp))
     visits.extend(() for _ in range(free_circles))
@@ -384,10 +416,12 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
     # A crossing is positive iff its under strand enters one corner
     # counterclockwise after its over strand; its PD quadruple starts at the
     # under strand's entry and runs counterclockwise.
+    e_unders, e_overs = entry[0::2], entry[1::2]
     return PlanarDiagram(
-        quadruples=tuple(tuple(label[4 * k + c] for c in _CCW_FROM[e_under])
-                         for k, (e_under, _) in enumerate(entry)),
-        signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1 for e_under, e_over in entry),
+        quadruples=tuple(_CCW_FROM[e_under](label[at:at + 4])
+                         for at, e_under in zip(range(0, ports, 4), e_unders)),
+        signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1
+                    for e_under, e_over in zip(e_unders, e_overs)),
         visits=tuple(visits),
     )
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import platknot
 from platknot import TwistMatrix, twobridge
+from platknot.braid import CROSSING_BUDGET
 from platknot.canonical import symmetry_group
 from platknot.cli import main
 from platknot.errors import PlatError
@@ -380,6 +381,34 @@ def test_hilden_coset_on_60x61_plats_with_5_digit_twists_exits_2_fast(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "platknot.cli", "hilden", "coset", *files],
                           env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and "error: TooMuchWork:" in proc.stderr
+
+
+def budget_matrix(crossings: int) -> TwistMatrix:
+    """A 12x13 plat of exactly ``crossings`` crossings, its |a| spread evenly
+    over its 149 entries and its signs seeded."""
+    rng = random.Random(12)
+    widths = [row_width(12, i) for i in range(1, 14)]
+    size, rest = divmod(crossings, sum(widths))
+    mags = iter([size + 1] * rest + [size] * (sum(widths) - rest))
+    return TwistMatrix(12, [[rng.choice((1, -1)) * next(mags) for _ in range(w)] for w in widths])
+
+
+@pytest.mark.parametrize("extra, status", [(0, 0), (1, 2)], ids=["budget", "budget+1"])
+def test_invariant_report_bound_is_the_crossing_budget(tmp_path, extra, status):
+    # the report's bound: the closure and the Wirtinger elimination of a
+    # CROSSING_BUDGET-crossing diagram finish well inside the timeout, and
+    # one crossing more is refused before any work
+    f = write_plat(tmp_path, "budget.plat", budget_matrix(CROSSING_BUDGET + extra).to_text())
+    env = {**os.environ, "PYTHONPATH": str(Path(platknot.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "platknot.cli", "--json", "invariants", f],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == status
+    if status:
+        assert json.loads(proc.stderr)["error"] == "TooManyCrossings"
+    else:
+        report = json.loads(proc.stdout)
+        assert report["crossings"] == CROSSING_BUDGET and report["jones"] is None
+        assert (report["determinant"] % 2 == 1) == (report["components"] == 1)
 
 
 def test_import_platknot_builds_no_parser():

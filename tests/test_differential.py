@@ -85,18 +85,91 @@ def ref_syllables(a):
 
 
 def runs_view(case):
+    """The letters and the runs of each operation; the operations build their
+    runs without the constructor, so each result is also re-checked by it (a
+    letters view cannot see a run left unmerged)."""
     n, runs_a, runs_b = case
     a, b = BraidWord(n, runs_a), BraidWord(n, runs_b)
-    return (a.letters, len(a), compose(a, b).letters, inverse(a).letters,
-            free_reduce(a).letters, free_reduce(compose(a, b)).letters, permutation(a),
-            a.runs, BraidWord(n, a.runs) == a, a == b)
+    built = (compose(a, b), compose(a, b, a), inverse(a), free_reduce(a),
+             free_reduce(compose(a, b)))
+    return (a.letters, len(a), *(w.letters for w in built), permutation(a), a.runs,
+            *(w.runs for w in built), *(w == BraidWord(w.strands, w.runs) for w in built),
+            a == b)
 
 
 def letter_walks(case):
     n, runs_a, runs_b = case
     la, lb = ref_letters(runs_a), ref_letters(runs_b)
-    return (la, len(la), la + lb, ref_inverse(la), ref_free_reduce(la),
-            ref_free_reduce(la + lb), ref_permutation(n, la), ref_syllables(la), True, la == lb)
+    built = (la + lb, la + lb + la, ref_inverse(la), ref_free_reduce(la),
+             ref_free_reduce(la + lb))
+    return (la, len(la), *built, ref_permutation(n, la), ref_syllables(la),
+            *map(ref_syllables, built), *(True for _ in built), la == lb)
+
+
+# -- plat.closure: the closure built segment by segment, with a port list per
+# -- strand segment and a union-find over all segments
+
+NW, NE, SW, SE = 0, 1, 2, 3
+CCW_NEXT = (SW, NW, SE, NE)
+CCW_FROM = ((NW, SW, SE, NE), (NE, NW, SW, SE), (SW, SE, NE, NW), (SE, NE, NW, SW))
+
+
+def ref_braid_closure(word, style):
+    """(quadruples, signs, visits) of the ``style`` closure of ``word``."""
+    letters = word.letters
+    top_pairs, bottom_pairs = style.bridges(word.strands)
+    # segment j starts at top bridge j, segments m + 2k and m + 2k + 1 at
+    # crossing k's SW and SE outputs; ports[s] lists the crossing ends of s
+    cur = [0] * (word.strands + 1)
+    for j, (p, q) in enumerate(top_pairs):
+        cur[p] = cur[q] = j
+    ports = [[] for _ in top_pairs]
+    for k, (i, _) in enumerate(letters):
+        ports[cur[i]].append(4 * k + NW)
+        ports[cur[i + 1]].append(4 * k + NE)
+        cur[i], cur[i + 1] = len(ports), len(ports) + 1
+        ports += [4 * k + SW], [4 * k + SE]
+    parent = list(range(len(ports)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p, q in bottom_pairs:
+        parent[find(cur[q])] = find(cur[p])
+    ends = {}  # arc root -> its ends, in segment order
+    for s, seg_ports in enumerate(ports):
+        if seg_ports:
+            ends.setdefault(find(s), []).extend(seg_ports)
+    free_circles = len({find(j) for j in range(len(top_pairs))} - ends.keys())
+    partner = [0] * (4 * len(letters))
+    for arc in ends.values():
+        assert len(arc) == 2
+        partner[arc[0]], partner[arc[1]] = arc[1], arc[0]
+    label, labelled = [0] * len(partner), 0
+    entry = [[0, 0] for _ in letters]  # per crossing: [under, over] entry corner
+    visits = []
+    starts = [arc[0] for arc in ends.values()]
+    if find(0) in ends:
+        starts.insert(0, ends[find(0)][0])
+    for port in starts:
+        comp = []
+        while not label[port]:
+            labelled += 1
+            label[port] = label[partner[port]] = labelled
+            k, corner = divmod(port, 4)
+            over = (corner in (NW, SE)) == (letters[k].sign > 0)
+            comp.append((k, over))
+            entry[k][over] = corner
+            port = partner[4 * k + (SE, SW, NE, NW)[corner]]
+        if comp:
+            visits.append(tuple(comp))
+    visits.extend(() for _ in range(free_circles))
+    return (tuple(tuple(label[4 * k + c] for c in CCW_FROM[e_under])
+                  for k, (e_under, _) in enumerate(entry)),
+            tuple(1 if e_under == CCW_NEXT[e_over] else -1 for e_under, e_over in entry),
+            tuple(visits))
 
 
 # -- the determinant's oracles and the component walk's, on (word, style)
@@ -308,14 +381,24 @@ Row = namedtuple("Row", "name fast oracle strategy max_examples compare examples
 EDGE_CLOSURES = tuple(Closure(word, STANDARD) for word, _ in EDGE_CASES.values())
 
 
-def diagram_row(name, fast, oracle, words):
+# no crossing on the leftmost top bridge: in the even style its arc starts
+# at a crossing output that a bottom bridge reaches
+BRIDGE_FREE_CLOSURES = tuple(Closure(BraidWord(n, runs), style)
+                             for n, runs in ((4, [(3, 1)]), (6, [(3, 2), (5, -1)]))
+                             for style in PlatClosureStyle)
+
+
+def diagram_row(name, fast, oracle, words, examples=()):
     """A row on 150 closures of ``words`` in any style, and on the edge words."""
     return Row(name, fast, oracle, st.builds(Closure, words, styles), 150,
-               examples=EDGE_CLOSURES, deadline=None)
+               examples=EDGE_CLOSURES + examples, deadline=None)
 
 
 wirtinger = operator.attrgetter("wirtinger")
+pd_fields = operator.attrgetter("quadruples", "signs", "visits")
 DIAGRAM_ROWS = (
+    diagram_row("plat.closure", lambda c: pd_fields(c.diagram), lambda c: ref_braid_closure(*c),
+                letter_words | run_words, BRIDGE_FREE_CLOSURES),
     diagram_row("determinant.dense", wirtinger, lambda c: dense_determinant(c.diagram),
                 letter_words),
     diagram_row("determinant.colouring", lambda c: closure_determinant(*c), wirtinger,
