@@ -73,10 +73,7 @@ def _cmd_validate(args) -> int:
 def _cmd_canon(args) -> int:
     mat = _load_matrix(args.file)
     canon = canonical.canonical_form(mat, force=args.force)
-    if args.json:
-        print(json.dumps(canon.to_json_dict(), sort_keys=True))
-    else:
-        sys.stdout.write(canon.to_text())
+    _emit(args, canon.to_json_dict(), canon.to_text()[:-1])  # print adds the last newline
     return 0
 
 
@@ -102,7 +99,7 @@ def _cmd_braid(args) -> int:
 
 def _cmd_pd(args) -> int:
     diagram = closure(_load_matrix(args.file), PlatClosureStyle(args.style))
-    if args.json:
+    if args.json:  # not _emit: sorted keys would put free_loops before pd
         print(json.dumps({"pd": [list(q) for q in diagram.quadruples],
                           "free_loops": diagram.free_loops}))
     else:
@@ -114,13 +111,8 @@ def _cmd_pd(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
-    diagram = closure(_load_matrix(args.file), PlatClosureStyle(args.style))
-    lines = diagram.gauss_lines()
-    if args.json:
-        print(json.dumps({"gauss": lines}))
-    else:
-        for line in lines:
-            print(line)
+    lines = closure(_load_matrix(args.file), PlatClosureStyle(args.style)).gauss_lines()
+    _emit(args, {"gauss": lines}, "\n".join(lines))
     return 0
 
 
@@ -244,7 +236,7 @@ def _cmd_hilden_random(args) -> int:
 def _cmd_hilden_coset(args) -> int:
     report = hilden.coset_consistency(_load_matrix(args.file1), _load_matrix(args.file2),
                                       samples=args.samples, seed=args.seed)
-    if args.json:
+    if args.json:  # not _emit: sorted keys would reorder these, which perfbench's goldens pin
         print(json.dumps({"verdict": report.verdict,
                           "rotation_related": report.rotation_related,
                           "consistent": report.consistent,
@@ -257,12 +249,8 @@ def _cmd_hilden_coset(args) -> int:
 
 def _cmd_spheres(args) -> int:
     chain = spheres.maximal_collection(args.m, args.n)
-    if args.json:
-        print(json.dumps({"r": len(chain), "spheres": [list(s.c) for s in chain]}))
-    else:
-        print(f"r = {len(chain)}")
-        for s in chain:
-            print(str(s))
+    _emit(args, {"r": len(chain), "spheres": [list(s.c) for s in chain]},
+          "\n".join([f"r = {len(chain)}", *map(str, chain)]))
     return 0
 
 

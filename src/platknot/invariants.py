@@ -28,7 +28,6 @@ from .plat import PlanarDiagram, PlatClosureStyle, check_style
 
 __all__ = [
     "LaurentPoly",
-    "DELTA",
     "kauffman_bracket",
     "jones",
     "jones_canonical",
@@ -43,7 +42,8 @@ BRACKET_CAP = 22
 
 
 class LaurentPoly:
-    """Laurent polynomial in one variable with integer coefficients.
+    """Laurent polynomial in one variable with integer coefficients: a value
+    that is compared, hashed, reflected and printed, never computed with.
 
     Exponents are plain integers; what one unit of exponent means (A, t, or
     t^(1/2)) is up to the caller.  Zero coefficients are never stored.
@@ -70,33 +70,6 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()})
-
-    def shift(self, d: int) -> "LaurentPoly":
-        """Multiply by x^d."""
-        return LaurentPoly({e + d: c for e, c in self.coeffs.items()})
 
     def reciprocal(self) -> "LaurentPoly":
         """Substitute x -> 1/x."""
@@ -125,9 +98,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeffs!r})"
-
-
-DELTA = LaurentPoly({2: -1, -2: -1})  # loop value -A^2 - A^-2
 
 
 def _pd_mates(quadruples) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .braid import BraidWord, budgeted_crossings, permutation
@@ -245,8 +245,10 @@ class PlanarDiagram:
 
     Construction raises FormatError unless there is one sign of +1 or -1
     per crossing and ``visits`` passes every crossing exactly once under
-    and once over, with each pass flag exactly ``False`` or ``True``.  The
-    PD labels are checked where they are read, by the invariant oracles.
+    and once over: one walk counts each pass, a tuple of a crossing index
+    0 <= k < c and a flag exactly ``False`` or ``True``, into its (crossing,
+    flag) slot.  Signs and crossing indexes must then be exactly ``int``.
+    The PD labels are checked where they are read, by the invariant oracles.
     """
 
     quadruples: tuple[tuple[int, int, int, int], ...]
@@ -255,19 +257,22 @@ class PlanarDiagram:
 
     def __post_init__(self):
         try:
-            passes = sorted(chain.from_iterable(self.visits))
             c = len(self.quadruples)
-            ok = (len(self.signs) == c and set(self.signs) <= {1, -1}
-                  and passes == list(product(range(c), (False, True)))
-                  # bool has no subclasses, so this is the exact-type test
-                  and all(map(isinstance, map(itemgetter(1), passes), repeat(bool))))
-        except TypeError:  # a field of the wrong shape, or passes that do not compare
+            passes = tuple(chain.from_iterable(self.visits))  # visits may be a one-shot iterator
+            slots = [0] * (2 * c)  # slots[2k + over]: passes of crossing k with that flag
+            for pass_ in passes:
+                k, over = pass_
+                if not (isinstance(pass_, tuple) and type(over) is bool and 0 <= k < c):
+                    raise TypeError
+                slots[2 * k + over] += 1  # a float k is no index: TypeError
+            ok = slots == [1] * (2 * c) and len(self.signs) == c and set(self.signs) <= {1, -1}
+        except (TypeError, ValueError):  # a field, or a pass, of the wrong shape or type
             ok = False
         if not ok:
             raise FormatError("signs and visits must give every crossing a sign of +1 or -1 "
                               "and one under (False) and one over (True) pass")
         require_ints(FormatError, "crossing signs and visited crossings",
-                     chain(self.signs, (k for k, _ in passes)))
+                     chain(self.signs, map(itemgetter(0), passes)))
 
     @property
     def crossing_count(self) -> int:

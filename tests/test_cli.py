@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -418,6 +419,36 @@ def test_import_platknot_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# (argv, first 16 hex digits of the sha256 of stdout) on the example matrix,
+# FILE standing for its path: the digests CI checks on the installed `plat`
+# script, then the text and JSON output of canon, gauss, spheres and pd
+OUTPUT_PINS = [
+    ("pd FILE --style standard", "a9025e27baba0dc4"),
+    ("gauss FILE --style standard", "143770a8a8baa0f9"),
+    ("--json invariants FILE --style standard", "b530ee0691ca1f63"),
+    ("pd FILE --style even", "8be95ed9ac11b657"),
+    ("gauss FILE --style even", "898a74de2a9bd40d"),
+    ("--json invariants FILE --style even", "c7c15a0bf1adc7cd"),
+    ("pd FILE --style doubly_even", "5d8aa38107954bf5"),
+    ("gauss FILE --style doubly_even", "a1955d810c7aa6f3"),
+    ("--json invariants FILE --style doubly_even", "c6daaf9070867403"),
+    ("--json hilden random --strands 8 --length 6 --seed 3", "004f58e5c868ca31"),
+    ("--json hilden apply FILE --left h2@1,h1@3 --right h3@5", "5dee79ffba0845b2"),
+    ("canon FILE", "b7020aaaf02d8307"),
+    ("--json canon FILE", "183a3f32e9646d58"),
+    ("--json gauss FILE", "c1772ab484618058"),
+    ("--json pd FILE", "4b67193efee9a52b"),
+    ("spheres --m 4 --n 3", "6bc546101fa9fd18"),
+    ("--json spheres --m 4 --n 3", "af816b0c597de270"),
+]
+
+
+@pytest.mark.parametrize("command, digest", OUTPUT_PINS)
+def test_output_pinned(example_file, capsys, command, digest):
+    assert main([example_file if a == "FILE" else a for a in command.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
 class TestSpheres:
