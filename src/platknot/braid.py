@@ -67,8 +67,10 @@ class BraidWord:
         out: list[tuple[int, int]] = []
         try:  # costs nothing per well-formed run, unlike a length check
             for index, exp in self.runs:
-                # errors.require_ints' rule, inline: a call per run would show
-                # in every word built (perfbench's cli_session builds ~68 an item)
+                # errors.require_ints' rule, inline: one require_ints call per
+                # word took 0.5 us more on an empty word, 1.2 us on a 10-run
+                # one (timeit, 2-vCPU VM); perfbench's cli_session checks 19
+                # words an item, 16 of them empty: about 11 us, under 1%
                 if type(index) is not int or type(exp) is not int or not 0 < index < strands:
                     raise IndexRange(f"run {shown((index, exp))} is not an int generator index "
                                      f"in 1..{shown(strands - 1)} with an int exponent")

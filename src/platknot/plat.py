@@ -249,6 +249,9 @@ class PlanarDiagram:
     0 <= k < c and a flag exactly ``False`` or ``True``, into its (crossing,
     flag) slot.  Signs and crossing indexes must then be exactly ``int``.
     The PD labels are checked where they are read, by the invariant oracles.
+    Each field is stored as a tuple, its items (quadruples, components) as
+    tuples too, so a diagram built from lists or iterators equals and
+    hashes like one built from tuples.
     """
 
     quadruples: tuple[tuple[int, int, int, int], ...]
@@ -256,23 +259,29 @@ class PlanarDiagram:
     visits: tuple[tuple[tuple[int, bool], ...], ...]
 
     def __post_init__(self):
-        try:
-            c = len(self.quadruples)
-            passes = tuple(chain.from_iterable(self.visits))  # visits may be a one-shot iterator
+        try:  # any field may be a one-shot iterator: read each once
+            quadruples = tuple(map(tuple, self.quadruples))
+            signs = tuple(self.signs)
+            visits = tuple(map(tuple, self.visits))
+            c = len(quadruples)
+            passes = tuple(chain.from_iterable(visits))
             slots = [0] * (2 * c)  # slots[2k + over]: passes of crossing k with that flag
             for pass_ in passes:
                 k, over = pass_
                 if not (isinstance(pass_, tuple) and type(over) is bool and 0 <= k < c):
                     raise TypeError
                 slots[2 * k + over] += 1  # a float k is no index: TypeError
-            ok = slots == [1] * (2 * c) and len(self.signs) == c and set(self.signs) <= {1, -1}
+            ok = slots == [1] * (2 * c) and len(signs) == c and set(signs) <= {1, -1}
         except (TypeError, ValueError):  # a field, or a pass, of the wrong shape or type
             ok = False
         if not ok:
             raise FormatError("signs and visits must give every crossing a sign of +1 or -1 "
                               "and one under (False) and one over (True) pass")
         require_ints(FormatError, "crossing signs and visited crossings",
-                     chain(self.signs, map(itemgetter(0), passes)))
+                     chain(signs, map(itemgetter(0), passes)))
+        object.__setattr__(self, "quadruples", quadruples)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "visits", visits)
 
     @property
     def crossing_count(self) -> int:

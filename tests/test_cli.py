@@ -53,6 +53,9 @@ class TestValidate:
         bad = write_plat(tmp_path, "bad.plat", "4 2\n-4 -4 -4\n-4 -4 -4 -4\n")
         assert main(["validate", bad]) == 2
         assert "EvenHeight" in capsys.readouterr().err
+        bad = write_plat(tmp_path, "bad.json", '{"m": 4, "rows": [[-4, -4, -4], [-4, 6, -4, -4]]}')
+        assert main(["--json", "validate", bad]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "EvenHeight"
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.plat"]) == 2
@@ -88,8 +91,9 @@ class TestEquiv:
     def test_rotation_image_equivalent(self, tmp_path, example_matrix, capsys):
         from platknot.canonical import SymmetryElement, apply
         a = write_plat(tmp_path, "a.plat", example_matrix.to_text())
-        b = write_plat(tmp_path, "b.plat", apply(SymmetryElement.H, example_matrix).to_text())
-        assert main(["equiv", a, b]) == 0
+        for g in SymmetryElement:  # the identity too: a file and its copy
+            b = write_plat(tmp_path, "b.plat", apply(g, example_matrix).to_text())
+            assert main(["equiv", a, b]) == 0
 
     def test_inequivalent_exit_1(self, tmp_path, example_matrix):
         a = write_plat(tmp_path, "a.plat", example_matrix.to_text())
@@ -198,14 +202,6 @@ class TestDiagramOutputs:
 
 
 class TestTwobridge:
-    def test_coeffs(self, capsys):
-        assert main(["twobridge", "--coeffs", "3,-3,3"]) == 0
-        assert capsys.readouterr().out.strip()
-
-    def test_rational(self, capsys):
-        assert main(["twobridge", "--rational", "21/8"]) == 0
-        assert "[3; -3, 3]".replace(" ", "") in capsys.readouterr().out.replace(" ", "")
-
     def test_rational_exponent_inside_the_digit_bound(self, capsys):
         # 6 characters plus exponent 4000 stay inside the 4,300-digit bound
         assert main(["twobridge", "--rational", "1e4000"]) == 0
@@ -215,11 +211,6 @@ class TestTwobridge:
     def test_rational_not_representable(self, capsys):
         assert main(["twobridge", "--rational", "1/2"]) == 2
         assert "NotRepresentable" in capsys.readouterr().err
-
-    def test_file_side(self, tmp_path, example_matrix, capsys):
-        f = write_plat(tmp_path, "e.plat", example_matrix.to_text())
-        assert main(["twobridge", f, "--side", "right"]) == 0
-        assert capsys.readouterr().out.strip()
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_tall_file_refused_before_the_convergent_pass(self, tmp_path, capsys, monkeypatch,
@@ -449,6 +440,41 @@ OUTPUT_PINS = [
 def test_output_pinned(example_file, capsys, command, digest):
     assert main([example_file if a == "FILE" else a for a in command.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+# (argv, contents of FILE, exit status, stdout, stderr), FILE in stderr
+# standing for the file's path: outputs short enough to state whole
+EXACT_OUTPUTS = [
+    pytest.param("twobridge --coeffs 3,-3,3", None, 0, "33/10\n", "",
+                 id="twobridge --coeffs 3,-3,3"),
+    pytest.param("twobridge --rational 21/8", None, 0, "21/8 = [3; -3, 3]\n", "",
+                 id="twobridge --rational 21/8"),
+    pytest.param("twobridge FILE --side right", EXAMPLE_TEXT, 0, "-86/15 -86/23\n", "",
+                 id="twobridge FILE --side right"),
+    pytest.param("--json symmetries FILE", EXAMPLE_TEXT, 0, '{"symmetries": ["id"]}\n', "",
+                 id="--json symmetries FILE"),
+    # every row a palindrome, and the row sequence too: all four rotations
+    pytest.param("--json symmetries FILE", "4 3\n-4 5 -4\n6 -4 -4 6\n-4 5 -4\n", 0,
+                 '{"symmetries": ["id", "h", "v", "hv"]}\n', "",
+                 id="--json symmetries palindromic"),
+    # rows 1 and 3 both short: the first wrong row is named
+    pytest.param("validate FILE", "4 3\n-4 -4\n-4 6 -4 -4\n-4 -4\n", 2, "",
+                 "error: WrongRowLength: row 1 must have 3 entries, got 2\n",
+                 id="validate rows 1 and 3 short"),
+    # not a traceback and exit 1, which equiv also gives for "not equivalent"
+    pytest.param("validate FILE", b"4 3\n\xff\n", 2, "",
+                 "error: FormatError: cannot read FILE: not UTF-8 at byte 4\n",
+                 id="validate non-UTF-8"),
+]
+
+
+@pytest.mark.parametrize("command, content, status, out, err", EXACT_OUTPUTS)
+def test_exact_output(tmp_path, capsys, command, content, status, out, err):
+    path = tmp_path / "input.plat"
+    if content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert main([str(path) if a == "FILE" else a for a in command.split()]) == status
+    assert capsys.readouterr() == (out, err.replace("FILE", str(path)))
 
 
 class TestSpheres:

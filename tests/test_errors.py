@@ -114,17 +114,44 @@ def test_shown_renders_any_value():
     assert shown((1, HUGE)) == "<tuple too long to print>"
 
 
+def _is_int(node) -> bool:
+    """``int`` alone, or inside a tuple or set literal."""
+    if isinstance(node, (ast.Tuple, ast.Set)):
+        return any(map(_is_int, node.elts))
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def _is_type_of(node) -> bool:
+    """``type(x)`` or ``x.__class__``."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
+            or isinstance(node, ast.Attribute) and node.attr == "__class__")
+
+
+def _tests_exact_int(node) -> bool:
+    """A comparison of ``type(x)`` or ``x.__class__`` with ``int``,
+    ``isinstance(x, int)``, or ``set(map(type, ...))``."""
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return any(map(_is_type_of, sides)) and any(map(_is_int, sides))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "isinstance":
+            return len(node.args) == 2 and _is_int(node.args[1])
+        return ast.unparse(node).startswith("set(map(type, ")
+    return False
+
+
 def test_exact_int_rule_has_one_home():
-    # the rule is errors.require_ints; BraidWord's per-run loop keeps an
-    # inline copy for speed, and its strand check shares that method
+    # the rule is errors.require_ints; BraidWord.__post_init__ keeps an inline
+    # copy in its per-run loop, a little faster per word than a call (its
+    # comment gives the measurement); cf_reconstruct's int-or-Fraction test is
+    # a different rule
     found = []
-    homes = {("errors.py", "require_ints"), ("braid.py", "__post_init__")}
+    homes = {("errors.py", "require_ints"), ("braid.py", "__post_init__"),
+             ("twobridge.py", "cf_reconstruct")}
     for path in sorted(Path(platknot.__file__).parent.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        for fn in ast.walk(ast.parse(source)):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, ast.FunctionDef) or (path.name, fn.name) in homes:
                 continue
-            text = ast.get_source_segment(source, fn)
-            if "is not int" in text or "set(map(type" in text:
+            if any(map(_tests_exact_int, ast.walk(fn))):
                 found.append(f"{path.name}:{fn.name}")
     assert found == []

@@ -131,6 +131,14 @@ class TestBracket:
     def test_visits_from_an_iterator_checked_when_built(self):
         with pytest.raises(FormatError):  # a bool crossing, read from a one-shot iterator
             PlanarDiagram(((1, 2, 2, 1),), (1,), iter([((False, False), (0, True))]))
+        # the fields are stored as tuples: an iterator is not left exhausted,
+        # and a diagram built from lists is hashable
+        built = PlanarDiagram(((1, 2, 2, 1),), (1,), (((0, False), (0, True)),))
+        for other in (PlanarDiagram(((1, 2, 2, 1),), (1,), iter([((0, False), (0, True))])),
+                      PlanarDiagram([[1, 2, 2, 1]], [1], [[(0, False), (0, True)]])):
+            assert other == built and hash(other) == hash(built)
+            assert other.n_components == 1
+            assert other.gauss_lines() == built.gauss_lines() == ["U1+ O1+"]
 
     @pytest.mark.parametrize("quadruples", [None, 1])
     def test_quadruples_without_a_length_refused_when_built(self, quadruples):
