@@ -196,7 +196,7 @@ def _cmd_twobridge(args) -> int:
     return 0
 
 
-MAX_MOVES = 1000  # per side of `hilden apply`, like `hilden random --length`
+MAX_MOVES = 1000  # most moves per side of `hilden apply`, and most `hilden random --length`
 
 
 def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
             [jones_cap, seed], hsub)
     p.add_argument("--strands", type=_int_in(None, 256), required=True,
                    help="even strand count, at most 256")
-    p.add_argument("--length", type=_int_in(0, 1000), required=True,
-                   help="number of generators multiplied, 0..1000")
+    p.add_argument("--length", type=_int_in(0, MAX_MOVES), required=True,
+                   help=f"number of generators multiplied, 0..{MAX_MOVES}")
     p = add("coset", _cmd_hilden_coset, "falsification harness for coset equality", [seed], hsub)
     p.add_argument("file1")
     p.add_argument("file2")

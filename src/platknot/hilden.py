@@ -170,10 +170,15 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     every sampled translate h b1 h' must keep all closure invariants of b1
     (and b2).  If they are not rotation-equal, distinct cosets are expected:
     differing invariants certify that, and no sampled translate may reduce
-    to b2 as a word.  Any violation recorded here falsifies the claimed
-    uniqueness and indicates a bug somewhere.  Rotation-equal matrices are
-    probed for any plats; every other pair must be inside the theorem's
-    hypotheses, or the code of the failing one is raised, as
+    to b2 as a word.  That word check cannot fire on the translates drawn
+    here.  Reduced, a product of 1-4 Hilden generators or inverses has no
+    even-index run of |exp| > 2 and is no lone even-index power (exhaustive
+    on 8, 12 and 16 strands).  b1 and b2 begin and end with even-index runs
+    of |exp| >= 4, so h b1 h' reduces to b2 only if h and h' reduce to the
+    identity, and b1 != b2.  Any violation recorded here falsifies the
+    claimed uniqueness and indicates a bug somewhere.  Rotation-equal
+    matrices are probed for any plats; every other pair must be inside the
+    theorem's hypotheses, or the code of the failing one is raised, as
     :func:`~platknot.canonical.equivalent` does.
 
     The closure determinant, of word 2 once and of word 1 and each translate,

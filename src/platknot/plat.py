@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .braid import BraidWord, budgeted_crossings, permutation
+from .braid import BraidWord, budgeted_crossings
 from .errors import (
     DimensionsOutOfTheoremRange,
     EvenHeight,
@@ -451,34 +451,27 @@ def component_count(mat: TwistMatrix, style: PlatClosureStyle = PlatClosureStyle
 
 
 def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
-    """Number of link components of the plat closure of ``word``, via the
-    pairing/permutation walk.
-
-    Independent of the diagram traversal in :func:`braid_closure`: walk
-    top pairing -> braid permutation -> bottom pairing and count orbits.
-    Each component is covered by exactly two orbits (one per direction).
-    """
+    """Number of link components of the plat closure of ``word``, found
+    without :func:`braid_closure`: ``at[pos]`` is the top bridge whose strand
+    is at ``pos``, swapped by each run of odd exponent, and each bottom bridge
+    joins the top bridges of its two strands in a union-find."""
     check_style(style)
-    strands = word.strands
-    perm = permutation(word)
-    inv = [0] * (strands + 1)
-    for i, p in enumerate(perm, start=1):
-        inv[p] = i
-    tau_t, tau_b = [0] * (strands + 1), [0] * (strands + 1)
-    for tau, pairs in zip((tau_t, tau_b), style.bridges(strands)):
-        for p, q in pairs:
-            tau[p], tau[q] = q, p
-
-    seen = [False] * (strands + 1)
-    orbits = 0
-    for start in range(1, strands + 1):
-        if seen[start]:
-            continue
-        orbits += 1
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = tau_t[inv[tau_b[perm[p - 1]]]]
-    if orbits % 2:
-        raise InternalError(f"odd number of closure orbits: {orbits}")
-    return orbits // 2
+    top_pairs, bottom_pairs = style.bridges(word.strands)
+    at = [0] * (word.strands + 1)
+    for j, (p, q) in enumerate(top_pairs):
+        at[p] = at[q] = j
+    for i, exp in word.runs:
+        if exp % 2:
+            at[i], at[i + 1] = at[i + 1], at[i]
+    parent = list(range(len(top_pairs)))
+    components = len(top_pairs)
+    for p, q in bottom_pairs:
+        a, b = at[p], at[q]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components

@@ -45,10 +45,6 @@ def write_plat(tmp_path, name, text):
 
 
 class TestValidate:
-    def test_ok(self, example_file, capsys):
-        assert main(["validate", example_file]) == 0
-        assert "ok" in capsys.readouterr().out
-
     def test_even_height_exit_2_with_code(self, tmp_path, capsys):
         bad = write_plat(tmp_path, "bad.plat", "4 2\n-4 -4 -4\n-4 -4 -4 -4\n")
         assert main(["validate", bad]) == 2
@@ -57,28 +53,8 @@ class TestValidate:
         assert main(["--json", "validate", bad]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "EvenHeight"
 
-    def test_missing_file(self, capsys):
-        assert main(["validate", "/nonexistent.plat"]) == 2
-        assert "FormatError" in capsys.readouterr().err
-
 
 class TestCanon:
-    def test_deterministic_output(self, example_file, capsys):
-        assert main(["canon", example_file]) == 0
-        first = capsys.readouterr().out
-        assert main(["canon", example_file]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_precondition_failure(self, tmp_path, capsys):
-        low = write_plat(tmp_path, "low.plat", "4 3\n-4 -3 -4\n-4 -4 -4 -4\n-4 -4 -4\n")
-        assert main(["canon", low]) == 2
-        assert "NotHighlyTwisted" in capsys.readouterr().err
-
-    def test_force(self, tmp_path, capsys):
-        low = write_plat(tmp_path, "low.plat", "2 1\n5\n")
-        assert main(["canon", low, "--force"]) == 0
-        assert capsys.readouterr().out == "2 1\n5\n"
-
     def test_json_round_trip_is_fixed_point(self, example_file, capsys, tmp_path):
         assert main(["--json", "canon", example_file]) == 0
         out1 = capsys.readouterr().out
@@ -159,58 +135,12 @@ class TestEquiv:
         assert capsys.readouterr().err.startswith("error: WrongRowLength")
 
 
-class TestSymmetries:
-    def test_symmetric_matrix(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "sym.plat", "4 3\n-4 -4 -4\n-4 -4 -4 -4\n-4 -4 -4\n")
-        assert main(["symmetries", f]) == 0
-        assert capsys.readouterr().out.split() == ["id", "h", "v", "hv"]
-
-
-class TestDiagramOutputs:
-    def test_braid(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["braid", f]) == 0
-        assert "s2^-3" in capsys.readouterr().out
-
-    def test_pd(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["pd", f]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out == ["X[1,5,2,4]", "X[5,3,6,2]", "X[3,1,4,6]"]
-
-    def test_gauss(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["gauss", f]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 1
-
-    def test_invariants_with_jones(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["invariants", f]) == 0
-        out = capsys.readouterr().out
-        assert "determinant: 3" in out and "jones:" in out
-
-    def test_invariants_respects_cap(self, example_file, capsys):
-        assert main(["invariants", example_file, "--jones-cap", "22"]) == 0
-        assert "skipped" in capsys.readouterr().out
-
-    def test_invariants_json(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["--json", "invariants", f]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["determinant"] == 3
-        assert payload["components"] == 1
-
-
 class TestTwobridge:
     def test_rational_exponent_inside_the_digit_bound(self, capsys):
         # 6 characters plus exponent 4000 stay inside the 4,300-digit bound
         assert main(["twobridge", "--rational", "1e4000"]) == 0
         big = "1" + "0" * 4000
         assert capsys.readouterr().out == f"{big} = [{big}]\n"
-
-    def test_rational_not_representable(self, capsys):
-        assert main(["twobridge", "--rational", "1/2"]) == 2
-        assert "NotRepresentable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_tall_file_refused_before_the_convergent_pass(self, tmp_path, capsys, monkeypatch,
@@ -242,26 +172,8 @@ class TestTwobridge:
         assert len(capsys.readouterr().out) > 2 * 8130
 
 
-class TestHilden:
-    def test_apply(self, tmp_path, capsys):
-        f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
-        assert main(["hilden", "apply", f, "--left", "h1@1"]) == 0
-        out = capsys.readouterr().out
-        assert "s1 s2^-3" in out and "determinant: 3" in out
-
-    def test_random_deterministic(self, capsys):
-        assert main(["hilden", "random", "--strands", "8", "--length", "4", "--seed", "7"]) == 0
-        first = capsys.readouterr().out
-        assert main(["hilden", "random", "--strands", "8", "--length", "4", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_coset(self, tmp_path, example_matrix, capsys):
-        f = write_plat(tmp_path, "e.plat", example_matrix.to_text())
-        assert main(["hilden", "coset", f, f, "--samples", "2"]) == 0
-        assert "same_coset" in capsys.readouterr().out
-
-
 EXAMPLE_TEXT = "4 3\n-4 -4 -4\n-4 6 -4 -4\n-4 -4 -6\n"
+TREFOIL = "2 1\n3\n"
 BAD_JSON = ['{"m": "x", "rows": [[3]]}', '{"m": 2, "rows": [["a"]]}',
             '{"m": 2, "n": "z", "rows": [[3]]}', '{"m": 2, "rows": [[1.5]]}',
             '{"m": 2, "rows": [[true]]}', '{"m": false, "rows": [[3]]}']
@@ -341,7 +253,7 @@ def test_hilden_apply_bounds_the_moves_per_side(tmp_path, capsys, side):
     assert "FormatError" in err and f"--{side}" in err and "1000" in err
 
 
-@pytest.mark.parametrize("text", ["2 1\n3\n", EXAMPLE_TEXT])
+@pytest.mark.parametrize("text", [TREFOIL, EXAMPLE_TEXT])
 def test_hilden_apply_json_keys_are_the_invariants_keys_plus_word(tmp_path, capsys, text):
     f = write_plat(tmp_path, "t.plat", text)
     assert main(["--json", "invariants", f]) == 0
@@ -351,7 +263,7 @@ def test_hilden_apply_json_keys_are_the_invariants_keys_plus_word(tmp_path, caps
 
 
 def test_consecutive_calls_share_no_options(tmp_path, capsys):
-    f = write_plat(tmp_path, "t.plat", "2 1\n3\n")
+    f = write_plat(tmp_path, "t.plat", TREFOIL)
     assert main(["--json", "invariants", f]) == 0
     json.loads(capsys.readouterr().out)
     assert main(["invariants", f]) == 0
@@ -465,6 +377,55 @@ EXACT_OUTPUTS = [
     pytest.param("validate FILE", b"4 3\n\xff\n", 2, "",
                  "error: FormatError: cannot read FILE: not UTF-8 at byte 4\n",
                  id="validate non-UTF-8"),
+    pytest.param("validate FILE", EXAMPLE_TEXT, 0, "ok: width 4, height 3\n", "",
+                 id="validate FILE"),
+    pytest.param("validate FILE", None, 2, "",
+                 "error: FormatError: cannot read FILE: No such file or directory\n",
+                 id="validate missing file"),
+    pytest.param("canon FILE", TestEquiv.LOW, 2, "",
+                 "error: NotHighlyTwisted: every |a_ij| >= 4 is required\n", id="canon low"),
+    pytest.param("canon FILE --force", "2 1\n5\n", 0, "2 1\n5\n", "", id="canon FILE --force"),
+    pytest.param("symmetries FILE", "4 3\n-4 -4 -4\n-4 -4 -4 -4\n-4 -4 -4\n", 0,
+                 "id h v hv\n", "", id="symmetries all -4"),
+    pytest.param("braid FILE", TREFOIL, 0, "4 strands: s2^-3\n", "", id="braid trefoil"),
+    pytest.param("pd FILE", TREFOIL, 0, "X[1,5,2,4]\nX[5,3,6,2]\nX[3,1,4,6]\n", "",
+                 id="pd trefoil"),
+    pytest.param("gauss FILE", TREFOIL, 0, "U1+ O2+ U3+ O1+ U2+ O3+\n", "", id="gauss trefoil"),
+    pytest.param("invariants FILE", TREFOIL, 0,
+                 "components:  1\ncrossings:   3\nwrithe:      3\ndeterminant: 3\n"
+                 "jones:       -t^4 + t^3 + t\n", "", id="invariants trefoil"),
+    pytest.param("invariants FILE --jones-cap 22", EXAMPLE_TEXT, 0,
+                 "components:  4\ncrossings:   44\nwrithe:      16\ndeterminant: 1140352\n"
+                 "jones:       skipped (44 crossings > cap 22)\n", "",
+                 id="invariants FILE --jones-cap 22"),
+    pytest.param("--json invariants FILE", TREFOIL, 0,
+                 '{"components": 1, "crossings": 3, "determinant": 3, "jones": '
+                 '{"2": 1, "6": 1, "8": -1}, "jones-exponent-unit": "t^(1/2)", "writhe": 3}\n',
+                 "", id="--json invariants trefoil"),
+    pytest.param("twobridge --rational 1/2", None, 2, "",
+                 "error: NotRepresentable: 1/2 is equidistant from 0 and 1; no nearest integer\n",
+                 id="twobridge --rational 1/2"),
+    pytest.param("hilden apply FILE --left h1@1", TREFOIL, 0,
+                 "strands:     4\nword:        s1 s2^-3\ncomponents:  1\ncrossings:   4\n"
+                 "writhe:      4\ndeterminant: 3\njones:       -t^4 + t^3 + t\n", "",
+                 id="hilden apply trefoil --left h1@1"),
+    pytest.param("hilden random --strands 8 --length 4 --seed 7", None, 0,
+                 "strands:     8\nword:        s4 s5 s3 s4 s6 s7 s5 s6 s3 s4 s5 s3 s4\n"
+                 "components:  4\ncrossings:   13\nwrithe:      1\ndeterminant: 0\n"
+                 "jones:       -t^(3/2) - 3*t^(1/2) - 3*t^(-1/2) - t^(-3/2)\n", "",
+                 id="hilden random --strands 8 --length 4 --seed 7"),
+    pytest.param("hilden coset FILE FILE --samples 2", EXAMPLE_TEXT, 0,
+                 "verdict: same_coset\nrotation-related: True\n"
+                 "word 1 invariants: {'components': 4, 'determinant': 1140352}\n"
+                 "word 2 invariants: {'components': 4, 'determinant': 1140352}\n"
+                 "sampled translates checked: 2\nno violations found\n", "",
+                 id="hilden coset FILE FILE --samples 2"),
+    pytest.param("spheres --m 4 --n 3", None, 0,
+                 "r = 5\nS(1,1,1)\nS(2,1,1)\nS(2,2,1)\nS(2,3,1)\nS(2,3,2)\n", "",
+                 id="spheres --m 4 --n 3"),
+    pytest.param("spheres --m 3 --n 3", None, 2, "",
+                 "error: DimensionsOutOfTheoremRange: need m >= 4 and odd n >= 3, got m=3, n=3\n",
+                 id="spheres --m 3 --n 3"),
 ]
 
 
@@ -475,18 +436,6 @@ def test_exact_output(tmp_path, capsys, command, content, status, out, err):
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main([str(path) if a == "FILE" else a for a in command.split()]) == status
     assert capsys.readouterr() == (out, err.replace("FILE", str(path)))
-
-
-class TestSpheres:
-    def test_listing(self, capsys):
-        assert main(["spheres", "--m", "4", "--n", "3"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out[0] == "r = 5"
-        assert out[1] == "S(1,1,1)" and out[-1] == "S(2,3,2)"
-
-    def test_out_of_range(self, capsys):
-        assert main(["spheres", "--m", "3", "--n", "3"]) == 2
-        assert "DimensionsOutOfTheoremRange" in capsys.readouterr().err
 
 
 # -- boundary fuzz: generated matrix files, text and JSON, well formed or not.

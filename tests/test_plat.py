@@ -219,9 +219,6 @@ class TestClosure:
 
 
 class TestComponentCount:
-    def test_example_has_four_components(self, example_matrix):
-        assert component_count(example_matrix) == 4
-
     @pytest.mark.parametrize("a,expected", [(3, 1), (4, 2)])
     def test_torus_links(self, a, expected):
         assert component_count(TwistMatrix(2, [(a,)])) == expected

@@ -155,13 +155,6 @@ class TestMaximalCollection:
                 assert regions_between(s, t) == 1
                 assert disjointly_realizable(s, t)
 
-    def test_formula_exhaustive(self):
-        for m in range(4, 9):
-            for n in range(3, 10, 2):
-                chain = maximal_collection(m, n)
-                expected = -(-n // 2) * (m - 3) + (n // 2) * (m - 2) + 1
-                assert len(chain) == expected == maximal_collection_size(m, n)
-
     @pytest.mark.parametrize("fn", [maximal_collection, maximal_collection_size])
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 2), (4, 1), (2, 3), (1, 1), (-5, 3)])
     def test_out_of_range(self, fn, m, n):
