@@ -352,12 +352,6 @@ def width_2_plats(draw):
     return coeffs, TwistMatrix(2, rows)
 
 
-# Schubert normal forms as width-2 plats, even rows (a, 0), of 1 and 3 rows
-SCHUBERT_FORMS = tuple((c, TwistMatrix(2, [(a,) if i % 2 == 0 else (a, 0)
-                                          for i, a in enumerate(c)]))
-                       for c in ((3,), (-4,), (7,), (3, 3, 3), (3, -4, 5), (4, 3, 3), (5, -3, 4)))
-
-
 def schubert_numerator(case):
     """|p| of the Schubert pair, and whether p is odd."""
     (p,) = {abs(r.numerator) for r in schubert_pair(case[0])}
@@ -432,8 +426,7 @@ ROWS = DIAGRAM_ROWS + (
         coeff_lists(25).filter(odd_length), 400),
     # topology, not a second copy of the recurrence: a width-2 plat's
     # standard closure is the 2-bridge link of its twists
-    Row("twobridge.determinant", schubert_numerator, closure_topology, width_2_plats(), 200,
-        examples=SCHUBERT_FORMS),
+    Row("twobridge.determinant", schubert_numerator, closure_topology, width_2_plats(), 200),
     Row("twobridge.reconstruct", lambda c: cf_reconstruct(ref_evaluate(c)), tuple,
         coeff_lists(25), 400),
     # |a| - 1 a power of two makes the bit-length step of the digit bound exact

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from platknot import TwistMatrix
+from platknot import TwistMatrix, closure
 from platknot.errors import (
     DivisionByZeroTail,
     FormatError,
     InvalidCoefficients,
     NotRepresentable,
 )
+from platknot.invariants import determinant
 from platknot.twobridge import (
     cf_evaluate,
     cf_reconstruct,
@@ -134,6 +135,31 @@ class TestBoundaryCoeffs:
     def test_width_two_left_equals_right_on_odd_rows(self):
         mat = TwistMatrix(2, [(5,)])
         assert left_boundary_coeffs(mat) == right_boundary_coeffs(mat)
+
+
+def boundary_plat(coeffs):
+    """Schubert normal form of the 2-bridge link as a width-2 plat."""
+    rows = []
+    for i, a in enumerate(coeffs, start=1):
+        rows.append((a,) if i % 2 == 1 else (a, 0))
+    return TwistMatrix(2, rows)
+
+
+class TestDeterminantOracle:
+    # the numerator of the classifying rational must equal the diagram
+    # determinant; this pins the interior sign alternation end to end
+
+    @pytest.mark.parametrize("coeffs", [(3,), (-4,), (7,)])
+    def test_one_row(self, coeffs):
+        (num,) = {abs(r.numerator) for r in schubert_pair(coeffs)}
+        assert determinant(closure(boundary_plat(coeffs))) == num
+
+    @pytest.mark.parametrize("coeffs", [(3, 3, 3), (3, -4, 5), (4, 3, 3), (5, -3, 4)])
+    def test_three_rows(self, coeffs):
+        (num,) = {abs(r.numerator) for r in schubert_pair(coeffs)}
+        mat = boundary_plat(coeffs)
+        assert sum(abs(a) for a in mat.entries()) <= 22
+        assert determinant(closure(mat)) == num
 
 
 class TestCoefficientBoundary:
