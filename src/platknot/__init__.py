@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``braid``      Artin-generator words as twist runs, free reduction, permutations
+- ``braid``      Artin-generator words as twist runs, free reduction
 - ``plat``       twist matrices, braid expansion, plat closures, PD/Gauss codes
 - ``canonical``  rotation action, canonical representative, equivalence
 - ``twobridge``  continued fractions with |a_i| >= 3, Schubert pairs
@@ -12,7 +12,7 @@ Submodules:
 - ``cli``        the ``plat`` command
 """
 
-from .braid import BraidWord, compose, free_reduce, inverse, permutation
+from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import SymmetryElement, apply, canonical_form, equivalent, symmetry_group
 from .errors import PlatError
 from .invariants import LaurentPoly, determinant, jones, kauffman_bracket

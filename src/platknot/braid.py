@@ -3,8 +3,9 @@
 The alphabet for the group on ``2m`` strands is sigma_1 .. sigma_{2m-1},
 each letter carrying an exponent of +1 or -1.  Words are stored as maximal
 same-sign runs ``(index, exponent)``, so every operation here costs
-O(runs) whatever the exponents; only the bounded ``letters`` view expands
-crossings.  Letters act top to bottom as drawn in braid diagrams, and
+O(runs) whatever the exponents; only the bounded JSON form
+(:func:`word_json`) and :func:`platknot.plat.braid_closure` expand crossings.
+Letters act top to bottom as drawn in braid diagrams, and
 ``compose(a, b, ...)`` stacks ``a`` above ``b`` above the rest.
 
 Only free reduction is performed here; braid relations are never applied.
@@ -19,35 +20,23 @@ generator, a merge of same-sign runs at each seam), so they skip it.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings, shown
+from .errors import IndexRange, StrandMismatch, TooManyCrossings, shown
 
 __all__ = [
     "CROSSING_BUDGET",
-    "BraidLetter",
     "BraidWord",
     "budgeted_crossings",
     "compose",
     "inverse",
     "free_reduce",
-    "permutation",
-    "parse_word",
     "format_word",
     "word_json",
 ]
 
-CROSSING_BUDGET = 10_000  # most crossings a word may expand to (letters, diagrams)
-
-
-class BraidLetter(NamedTuple):
-    """A single signed generator sigma_index^sign, as the letter view yields it."""
-
-    index: int
-    sign: int
+CROSSING_BUDGET = 10_000  # most crossings a word may expand to (word_json, diagrams)
 
 
 @dataclass(frozen=True)
@@ -99,16 +88,6 @@ class BraidWord:
             raise TooManyCrossings(crossings, sys.maxsize)
         return crossings
 
-    @property
-    def letters(self) -> tuple[BraidLetter, ...]:
-        """One letter per crossing; TooManyCrossings above CROSSING_BUDGET,
-        checked before anything is expanded."""
-        budgeted_crossings(self)
-        out: list[BraidLetter] = []
-        for index, exp in self.runs:
-            out.extend([BraidLetter(index, 1 if exp > 0 else -1)] * abs(exp))
-        return tuple(out)
-
 
 def budgeted_crossings(a: BraidWord) -> int:
     """The crossing count of ``a``; TooManyCrossings above CROSSING_BUDGET.
@@ -159,48 +138,16 @@ def free_reduce(a: BraidWord) -> BraidWord:
     return a._with_runs(tuple(out))
 
 
-def permutation(a: BraidWord) -> tuple[int, ...]:
-    """Image of each top endpoint under the braid, as a tuple p with
-    p[i-1] = bottom position of the strand starting at top position i.
-
-    Every letter acts as the transposition (i, i+1) regardless of sign, so
-    only runs of odd exponent swap.  Under this convention
-    permutation(compose(a, b)) == perm(b) o perm(a).
-    """
-    cur = list(range(a.strands + 1))  # cur[pos] = origin of strand now at pos
-    for i, exp in a.runs:
-        if exp % 2:
-            cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    out = [0] * a.strands
-    for pos in range(1, a.strands + 1):
-        out[cur[pos] - 1] = pos
-    return tuple(out)
-
-
-_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
-
-
-def parse_word(text: str, strands: int) -> BraidWord:
-    """Parse whitespace-separated tokens ``s<k>``, ``s<k>^-1``, ``s<k>^<e>``."""
-    runs: list[tuple[int, int]] = []
-    for tok in text.split():
-        mt = _TOKEN.match(tok)
-        if not mt:
-            raise FormatError(f"bad braid token {tok!r}")
-        try:  # an int past Python's digit limit raises ValueError
-            runs.append((int(mt.group(1)), int(mt.group(2) or 1)))
-        except ValueError:
-            raise FormatError(f"braid token of {len(tok)} characters is too long") from None
-    return BraidWord(strands, tuple(runs))
-
-
 def format_word(a: BraidWord) -> str:
-    """Inverse of :func:`parse_word`; empty word prints as ``(empty)``."""
+    """The runs as the CLI prints them, ``s2^4 s4^-6 s1``; ``(empty)`` if none."""
     if not a.runs:
         return "(empty)"
     return " ".join(f"s{index}" if exp == 1 else f"s{index}^{exp}" for index, exp in a.runs)
 
 
 def word_json(a: BraidWord) -> dict:
-    """JSON form: the strand count and one ``[index, sign]`` per letter."""
-    return {"strands": a.strands, "word": [list(lt) for lt in a.letters]}
+    """JSON form: the strand count and one ``[index, sign]`` per crossing;
+    TooManyCrossings above CROSSING_BUDGET, checked before anything is expanded."""
+    budgeted_crossings(a)
+    return {"strands": a.strands, "word": [[index, 1 if exp > 0 else -1]
+                                           for index, exp in a.runs for _ in range(abs(exp))]}

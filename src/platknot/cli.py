@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import FormatError, PlatError, TooManyDigits
+from .errors import FormatError, PlatError, TooManyDigits, refused_int
 from .plat import (
     PlatClosureStyle,
     TwistMatrix,
@@ -136,7 +136,8 @@ def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> 
         payload["jones"] = None
         fields.append(("jones", f"skipped ({diagram.crossing_count} crossings "
                                 f"> cap {args.jones_cap})"))
-    _emit(args, payload, "\n".join(f"{name + ':':<13}{value}" for name, value in fields))
+    with _digit_limit():
+        _emit(args, payload, "\n".join(f"{name + ':':<13}{value}" for name, value in fields))
     return 0
 
 
@@ -162,10 +163,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_coeff_list(text: str) -> list[int]:
+    tokens = text.replace(",", " ").split()
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise FormatError(f"bad coefficient list {text!r}: {exc}") from None
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise refused_int((f"--coeffs entry {k}", tok) for k, tok in enumerate(tokens, 1)) from None
 
 
 def _cmd_twobridge(args) -> int:

@@ -5,9 +5,11 @@ the CLI can print uniform diagnostics and scripts can match on them.
 :func:`require_ints` is the rule every integer input obeys: its type is
 exactly ``int``, so a bool or a float is refused, never truncated.  Messages
 render values through :func:`shown`, so an int too long for Python to print
-never turns an error into a bare ``ValueError``.
+never turns an error into a bare ``ValueError``, and :func:`refused_int`
+names an integer token that ``int`` refuses without Python's own text.
 """
 
+import sys
 from typing import Callable, Iterable
 
 
@@ -20,7 +22,7 @@ class PlatError(Exception):
 
 
 class FormatError(PlatError):
-    """Malformed text input (matrix file, braid word, CLI value)."""
+    """Malformed text input (matrix file, CLI value)."""
 
 
 class StrandMismatch(PlatError):
@@ -116,3 +118,21 @@ def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
     bad = set(map(type, values)) - {int}
     if bad:
         raise error(f"{what} must be of type int, got {', '.join(sorted(t.__name__ for t in bad))}")
+
+
+def refused_int(labelled: Iterable[tuple[str, str]]) -> PlatError:
+    """The FormatError for the first ``(where, token)`` whose token ``int``
+    refuses: an integer past Python's int-to-str digit limit by its digit
+    count, anything else quoted if short.  Never Python's message, which
+    quotes up to 200 characters of the token."""
+    for where, token in labelled:
+        try:
+            int(token)
+        except ValueError:
+            body = token[1:] if token[:1] in "+-" else token
+            if body.isdecimal():
+                return FormatError(f"{where}: an integer of {len(body)} digits is over "
+                                   f"Python's limit of {sys.get_int_max_str_digits()}")
+            what = repr(token) if len(token) <= 40 else f"a token of {len(token)} characters"
+            return FormatError(f"{where}: {what} is not an integer")
+    return InternalError("int refused none of the tokens")

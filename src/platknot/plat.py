@@ -28,6 +28,7 @@ from .errors import (
     InternalError,
     WidthTooSmall,
     WrongRowLength,
+    refused_int,
     require_ints,
     shown,
 )
@@ -107,8 +108,9 @@ class TwistMatrix:
         try:
             m, n = int(head[0]), int(head[1])
             rows = tuple(tuple(map(int, line.split())) for line in lines[1:])
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        except ValueError:
+            raise refused_int((f"line {k}", token) for k, raw in enumerate(text.splitlines(), 1)
+                              for token in raw.partition("#")[0].split()) from None
         if len(rows) != n:
             raise FormatError(f"expected {n} rows, got {len(rows)}")
         return cls(m, rows)

@@ -90,6 +90,25 @@ def diagram_is_connected(d):
     return len({find(k) for k in range(d.crossing_count)}) == 1
 
 
+# -- braid words letter by letter, as tuples of (index, sign) letters --
+
+def ref_letters(runs):
+    """One (index, sign) letter per crossing of ``runs``."""
+    return tuple((i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e)))
+
+
+def ref_permutation(strands, letters):
+    """p with p[i-1] the bottom position of the strand that starts at top
+    position i; every letter swaps its two strands, whatever its sign."""
+    cur = list(range(strands + 1))
+    for i, _ in letters:
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    out = [0] * strands
+    for pos in range(1, strands + 1):
+        out[cur[pos] - 1] = pos
+    return tuple(out)
+
+
 # -- hypothesis strategies: braid words, closures, plats, coefficient lists --
 
 STRANDS = range(2, 13, 2)

@@ -10,13 +10,12 @@ from platknot.braid import (
     format_word,
     free_reduce,
     inverse,
-    parse_word,
-    permutation,
+    word_json,
 )
-from platknot.errors import FormatError, IndexRange, StrandMismatch, TooManyCrossings
+from platknot.errors import IndexRange, StrandMismatch, TooManyCrossings
 from platknot.hilden import random_hilden_element
 
-from conftest import address_space_cap, letter_words, run_pairs, run_words
+from conftest import address_space_cap, letter_words, ref_letters, run_words
 
 
 def W(strands, *pairs):
@@ -24,7 +23,6 @@ def W(strands, *pairs):
 
 
 words = letter_words | run_words
-word_pairs = run_pairs().map(lambda c: (BraidWord(c[0], c[1]), BraidWord(c[0], c[2])))
 
 
 def test_random_hilden_element_words_are_pinned():
@@ -34,7 +32,7 @@ def test_random_hilden_element_words_are_pinned():
         for length in range(40):
             for seed in range(50):
                 w = random_hilden_element(strands, length, seed)
-                h.update((",".join(f"{i}:{s}" for i, s in w.letters) + "\n").encode())
+                h.update((",".join(f"{i}:{s}" for i, s in ref_letters(w.runs)) + "\n").encode())
     assert h.hexdigest() == "d6fc66e80f39f2f53a64eab4cdf386cb5e192b94a97e32dc8f4db934488c9502"
 
 
@@ -54,7 +52,8 @@ class TestConstruction:
         with pytest.raises(IndexRange):
             BraidWord(4, [run])
 
-    @pytest.mark.parametrize("runs", [[5], [(1, 2, 3)], [(1,)], None, 5])
+    # the last two: generator indices outside 1..3
+    @pytest.mark.parametrize("runs", [[5], [(1, 2, 3)], [(1,)], None, 5, [(4, 1)], [(0, -1)]])
     def test_malformed_runs_rejected(self, runs):
         with pytest.raises(IndexRange):
             BraidWord(4, runs)
@@ -67,10 +66,10 @@ class TestConstruction:
         w = BraidWord(4, [(1, 10 ** 9)])
         assert len(w) == 10 ** 9 > CROSSING_BUDGET
         with address_space_cap(), pytest.raises(TooManyCrossings):
-            w.letters
-        assert len(BraidWord(4, [(1, CROSSING_BUDGET)]).letters) == CROSSING_BUDGET
+            word_json(w)
+        assert len(word_json(BraidWord(4, [(1, CROSSING_BUDGET)]))["word"]) == CROSSING_BUDGET
         with address_space_cap(), pytest.raises(TooManyCrossings):
-            BraidWord(4, [(1, 10 ** 19)]).letters  # beyond sys.maxsize
+            word_json(BraidWord(4, [(1, 10 ** 19)]))  # beyond sys.maxsize
 
 
 class TestCompose:
@@ -114,7 +113,7 @@ class TestInverse:
 
     @given(words)
     def test_word_times_inverse_reduces_to_identity(self, w):
-        assert free_reduce(compose(w, inverse(w))).letters == ()
+        assert free_reduce(compose(w, inverse(w))).runs == ()
 
     @given(words)
     def test_involution_up_to_reduction(self, w):
@@ -126,7 +125,7 @@ class TestFreeReduce:
         assert free_reduce(W(4, (1, 1), (1, -1), (2, 1))) == W(4, (2, 1))
 
     def test_nested_cancellation(self):
-        assert free_reduce(W(4, (1, 1), (2, 1), (2, -1), (1, -1))).letters == ()
+        assert free_reduce(W(4, (1, 1), (2, 1), (2, -1), (1, -1))).runs == ()
 
     def test_partial_cancellation_of_runs(self):
         assert free_reduce(W(4, (1, 3), (2, 2), (2, -5), (1, 1))).runs == ((1, 3), (2, -3), (1, 1))
@@ -142,42 +141,9 @@ class TestFreeReduce:
         assert free_reduce(r) == r
 
 
-class TestPermutation:
-    def test_single_generator(self):
-        assert permutation(W(4, (1, 1))) == (2, 1, 3, 4)
-
-    @pytest.mark.parametrize("k,expected", [(2, (1, 2, 3, 4)), (3, (1, 3, 2, 4))])
-    def test_transposition_parity(self, k, expected):
-        assert permutation(BraidWord(4, [(2, k)])) == expected
-
-    def test_sign_is_irrelevant(self):
-        assert permutation(W(4, (2, 1))) == permutation(W(4, (2, -1)))
-
-    @given(word_pairs)
-    def test_composition_convention(self, pair):
-        a, b = pair
-        pa, pb = permutation(a), permutation(b)
-        assert permutation(compose(a, b)) == tuple(pb[pa[i] - 1] for i in range(a.strands))
-
-
 class TestTextSyntax:
-    def test_round_trip(self):
-        w = parse_word("s2^4 s4^-6 s1", 8)
-        assert format_word(w) == "s2^4 s4^-6 s1"
-
     def test_empty_formats_as_marker(self):
         assert format_word(BraidWord(4)) == "(empty)"
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(IndexRange):
-            parse_word("s7", 6)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(FormatError):
-            parse_word("sigma_2", 6)
-
-    def test_zero_exponent_is_dropped(self):
-        assert parse_word("s2^0", 6) == BraidWord(6)
 
     def test_syllables_merge_runs(self):
         w = W(4, (2, 1), (2, 1), (1, -1))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import platknot
-from platknot import TwistMatrix, twobridge
+from platknot import TwistMatrix, invariants, twobridge
 from platknot.braid import CROSSING_BUDGET
 from platknot.canonical import symmetry_group
 from platknot.cli import main
@@ -315,6 +315,17 @@ def test_invariant_report_bound_is_the_crossing_budget(tmp_path, extra, status):
         assert (report["determinant"] % 2 == 1) == (report["components"] == 1)
 
 
+@pytest.mark.parametrize("argv", [["invariants", "FILE"], ["--json", "invariants", "FILE"],
+                                  ["hilden", "apply", "FILE", "--left", "h1@1"]])
+def test_invariant_report_past_the_digit_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(invariants, "determinant", lambda diagram: 10 ** 5000)
+    f = write_plat(tmp_path, "t.plat", TREFOIL)
+    assert main([f if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    head = '{"error": "TooManyDigits", ' if "--json" in argv else "error: TooManyDigits: "
+    assert out == "" and err.startswith(head)
+
+
 def test_import_platknot_builds_no_parser():
     code = ("import sys, platknot; "
             "print(sorted({'argparse', 'platknot.cli'} & set(sys.modules)))")
@@ -420,6 +431,13 @@ EXACT_OUTPUTS = [
                  "word 2 invariants: {'components': 4, 'determinant': 1140352}\n"
                  "sampled translates checked: 2\nno violations found\n", "",
                  id="hilden coset FILE FILE --samples 2"),
+    # an integer past Python's digit limit is named by place and length, not echoed
+    pytest.param("validate FILE", "2 1\n" + "9" * 4301 + "\n", 2, "",
+                 "error: FormatError: line 2: an integer of 4301 digits is over Python's limit "
+                 "of 4300\n", id="validate a 4,301-digit entry"),
+    pytest.param("twobridge --coeffs 3," + "9" * 4301 + ",3", None, 2, "",
+                 "error: FormatError: --coeffs entry 2: an integer of 4301 digits is over "
+                 "Python's limit of 4300\n", id="twobridge --coeffs with a 4,301-digit entry"),
     pytest.param("spheres --m 4 --n 3", None, 0,
                  "r = 5\nS(1,1,1)\nS(2,1,1)\nS(2,2,1)\nS(2,3,1)\nS(2,3,2)\n", "",
                  id="spheres --m 4 --n 3"),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word, validate
-from platknot.braid import BraidWord, compose, free_reduce, inverse, permutation
+from platknot.braid import BraidWord, compose, free_reduce, inverse
 from platknot.canonical import ELEMENTS, apply, canonical_form, equivalent, symmetry_group
 from platknot.errors import DivisionByZeroTail, PlatError, WrongRowLength
 from platknot.hilden import random_hilden_element
@@ -26,7 +26,7 @@ from platknot.twobridge import cf_evaluate, cf_reconstruct, min_numerator_digits
 
 from conftest import (LETTERS, any_matrices, braid_words, coeff_lists,
                       diagram_is_connected, letter_words, matrix_pairs, random_small_matrix,
-                      run_pairs, run_words, styles)
+                      ref_letters, run_pairs, run_words, styles)
 from test_acceptance import EXAMPLE, criterion_2_plats, criterion_7_plats, criterion_9_variants
 from test_canonical import FLIPS
 from test_determinant import EDGE_CASES
@@ -46,10 +46,6 @@ def outcome(fn, *args):
 # -- braid.runs: the letter-walking operations the runs representation
 # -- replaced, on tuples of (index, sign) letters
 
-def ref_letters(runs):
-    return tuple((i, 1 if e > 0 else -1) for i, e in runs for _ in range(abs(e)))
-
-
 def ref_inverse(a):
     return tuple((i, -s) for i, s in reversed(a))
 
@@ -61,16 +57,6 @@ def ref_free_reduce(a):
             out.pop()
         else:
             out.append((i, s))
-    return tuple(out)
-
-
-def ref_permutation(strands, a):
-    cur = list(range(strands + 1))
-    for i, _ in a:
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    out = [0] * strands
-    for pos in range(1, strands + 1):
-        out[cur[pos] - 1] = pos
     return tuple(out)
 
 
@@ -86,23 +72,23 @@ def ref_syllables(a):
 
 def runs_view(case):
     """The letters and the runs of each operation; the operations build their
-    runs without the constructor, so each result is also re-checked by it (a
-    letters view cannot see a run left unmerged)."""
+    runs without the constructor, so each result is also re-checked by it
+    (their letters alone cannot see a run left unmerged)."""
     n, runs_a, runs_b = case
     a, b = BraidWord(n, runs_a), BraidWord(n, runs_b)
     built = (compose(a, b), compose(a, b, a), inverse(a), free_reduce(a),
              free_reduce(compose(a, b)))
-    return (a.letters, len(a), *(w.letters for w in built), permutation(a), a.runs,
+    return (ref_letters(a.runs), len(a), *(ref_letters(w.runs) for w in built), a.runs,
             *(w.runs for w in built), *(w == BraidWord(w.strands, w.runs) for w in built),
             a == b)
 
 
 def letter_walks(case):
-    n, runs_a, runs_b = case
+    _, runs_a, runs_b = case
     la, lb = ref_letters(runs_a), ref_letters(runs_b)
     built = (la + lb, la + lb + la, ref_inverse(la), ref_free_reduce(la),
              ref_free_reduce(la + lb))
-    return (la, len(la), *built, ref_permutation(n, la), ref_syllables(la),
+    return (la, len(la), *built, ref_syllables(la),
             *map(ref_syllables, built), *(True for _ in built), la == lb)
 
 
@@ -116,7 +102,7 @@ CCW_FROM = ((NW, SW, SE, NE), (NE, NW, SW, SE), (SW, SE, NE, NW), (SE, NE, NW, S
 
 def ref_braid_closure(word, style):
     """(quadruples, signs, visits) of the ``style`` closure of ``word``."""
-    letters = word.letters
+    letters = ref_letters(word.runs)
     top_pairs, bottom_pairs = style.bridges(word.strands)
     # segment j starts at top bridge j, segments m + 2k and m + 2k + 1 at
     # crossing k's SW and SE outputs; ports[s] lists the crossing ends of s
@@ -159,7 +145,7 @@ def ref_braid_closure(word, style):
             labelled += 1
             label[port] = label[partner[port]] = labelled
             k, corner = divmod(port, 4)
-            over = (corner in (NW, SE)) == (letters[k].sign > 0)
+            over = (corner in (NW, SE)) == (letters[k][1] > 0)
             comp.append((k, over))
             entry[k][over] = corner
             port = partner[4 * k + (SE, SW, NE, NW)[corner]]

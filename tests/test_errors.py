@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,6 @@ from platknot import (
     schubert_pair,
     validate,
 )
-from platknot.braid import parse_word
 from platknot.errors import (
     DimensionsOutOfTheoremRange,
     FormatError,
@@ -47,31 +48,16 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _letter_uses(tree):
-    """Line numbers that read ``.letters`` or construct ``BraidLetter``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "letters":
-            yield node.lineno
-        if isinstance(node, ast.Call):
-            if "BraidLetter" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                yield node.lineno
+MODULES = sorted(info.name for info in pkgutil.iter_modules(platknot.__path__))
 
 
-def test_only_braid_and_braid_closure_expand_crossings():
-    # words are stored as runs; the per-crossing view is braid.py's, and
-    # braid_closure is the one consumer that draws a crossing per letter
-    found = []
-    for path in sorted(Path(platknot.__file__).parent.glob("*.py")):
-        if path.name == "braid.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "plat.py":
-            fn = next(node for node in tree.body
-                      if isinstance(node, ast.FunctionDef) and node.name == "braid_closure")
-            allowed = set(range(fn.lineno, fn.end_lineno + 1))
-        found += [f"{path.name}:{line}" for line in _letter_uses(tree) if line not in allowed]
-    assert found == []
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists_once(name):
+    # a deletion must take its __all__ entry with it
+    module = importlib.import_module(f"platknot.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
 
 
 HUGE = 10 ** 5000  # past Python's 4,300-digit int-to-str limit
@@ -90,7 +76,7 @@ HUGE_INT_CASES = [
     (lambda: maximal_collection(3, HUGE), DimensionsOutOfTheoremRange),
     (lambda: cf_reconstruct(Fraction(2 * HUGE + 1, 2)), NotRepresentable),
     (lambda: len(BraidWord(4, [(1, HUGE)])), TooManyCrossings),
-    (lambda: parse_word("s1^" + "9" * 5000, 4), FormatError),
+    (lambda: TwistMatrix.from_text("2 1\n" + "9" * 5000), FormatError),
 ]
 
 
