@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import FormatError, PlatError, TooManyDigits, refused_int
+from .errors import FormatError, PlatError, TooManyDigits, quoted, refused_int
 from .plat import (
     PlatClosureStyle,
     TwistMatrix,
@@ -91,9 +91,12 @@ def _cmd_symmetries(args) -> int:
 
 
 def _cmd_braid(args) -> int:
-    mat = _load_matrix(args.file)
-    word = to_braid_word(mat)
-    _emit(args, braidmod.word_json(word), f"{word.strands} strands: {braidmod.format_word(word)}")
+    word = to_braid_word(_load_matrix(args.file))
+    if args.json:  # only the JSON form expands the crossings, within CROSSING_BUDGET
+        print(json.dumps(braidmod.word_json(word), sort_keys=True))
+    else:
+        with _digit_limit():  # runs merged across zero rows can outgrow an entry
+            print(f"{word.strands} strands: {braidmod.format_word(word)}")
     return 0
 
 
@@ -206,18 +209,20 @@ def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
     if len(tokens) > MAX_MOVES:
         raise FormatError(f"--{side} takes at most {MAX_MOVES} moves, got {len(tokens)}")
     moves = []
-    for tok in tokens:
-        if "@" not in tok:
-            raise FormatError(f"bad Hilden move {tok!r}, expected kind@index")
-        kind, _, idx = tok.partition("@")
+    for k, tok in enumerate(tokens, 1):
+        kind, at, idx = tok.partition("@")
+        if not at:
+            raise FormatError(f"--{side} move {k}: {quoted(tok)} is not kind@index")
         try:
-            moves.append(hilden.HildenMove(kind, int(idx)))
+            index = int(idx)
         except ValueError:
-            raise FormatError(f"bad Hilden move index in {tok!r}") from None
+            raise refused_int(((f"--{side} move {k} index", idx),)) from None
+        moves.append(hilden.HildenMove(kind, index))
     return moves
 
 
 def _print_word_invariants(args, word) -> int:
+    braidmod.budgeted_crossings(word)  # the report's bound, before the word is printed
     return _print_invariants(args, word, PlatClosureStyle.STANDARD,
                              (("strands", word.strands), ("word", braidmod.format_word(word))))
 
@@ -256,16 +261,24 @@ def _cmd_spheres(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    """argparse type for an integer; unlike ``int``, whose refusal argparse
+    echoes whole, it names a long token by its length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
 def _int_in(lo: int | None, hi: int):
     """argparse type for an integer in lo..hi (lo None: at most hi, and the
     command rejects a value that is too small), checked before any work."""
     def check(text: str) -> int:
-        value = int(text)
+        value = _int_arg(text)
         if value > hi or (lo is not None and value < lo):
             bound = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+            raise argparse.ArgumentTypeError(f"{quoted(text)} is not {bound}")
         return value
-    check.__name__ = "int"  # argparse names the type in "invalid int value"
     return check
 
 
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
         help="largest crossing count whose Jones polynomial is computed, "
              f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
-    seed = _shared_option("--seed", type=int, default=0)
+    seed = _shared_option("--seed", type=_int_arg, default=0)
     parser = argparse.ArgumentParser(
         prog="plat",
         description="Highly twisted plat diagrams: canonical forms, invariants, "

@@ -5,8 +5,10 @@ the CLI can print uniform diagnostics and scripts can match on them.
 :func:`require_ints` is the rule every integer input obeys: its type is
 exactly ``int``, so a bool or a float is refused, never truncated.  Messages
 render values through :func:`shown`, so an int too long for Python to print
-never turns an error into a bare ``ValueError``, and :func:`refused_int`
-names an integer token that ``int`` refuses without Python's own text.
+never turns an error into a bare ``ValueError``; :func:`quoted` shows a
+piece of outside input, which may be long, in at most 40 characters; and
+:func:`refused_int` names an integer token that ``int`` refuses without
+Python's own text.
 """
 
 import sys
@@ -112,6 +114,14 @@ def shown(value, text: Callable[[object], str] = repr) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def quoted(token) -> str:
+    """``shown(token)``, or for a str of more than 40 characters its length:
+    how a message shows a piece of outside input without echoing it whole."""
+    if isinstance(token, str) and len(token) > 40:
+        return f"a string of {len(token)} characters"
+    return shown(token)
+
+
 def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
     """Raise ``error`` unless the type of every one of ``values`` is exactly
     ``int``; the message starts with ``what`` and names the other types."""
@@ -123,8 +133,8 @@ def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
 def refused_int(labelled: Iterable[tuple[str, str]]) -> PlatError:
     """The FormatError for the first ``(where, token)`` whose token ``int``
     refuses: an integer past Python's int-to-str digit limit by its digit
-    count, anything else quoted if short.  Never Python's message, which
-    quotes up to 200 characters of the token."""
+    count, anything else through :func:`quoted`.  Never Python's message,
+    which quotes up to 200 characters of the token."""
     for where, token in labelled:
         try:
             int(token)
@@ -133,6 +143,5 @@ def refused_int(labelled: Iterable[tuple[str, str]]) -> PlatError:
             if body.isdecimal():
                 return FormatError(f"{where}: an integer of {len(body)} digits is over "
                                    f"Python's limit of {sys.get_int_max_str_digits()}")
-            what = repr(token) if len(token) <= 40 else f"a token of {len(token)} characters"
-            return FormatError(f"{where}: {what} is not an integer")
+            return FormatError(f"{where}: {quoted(token)} is not an integer")
     return InternalError("int refused none of the tokens")

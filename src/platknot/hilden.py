@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import equivalent
-from .errors import FormatError, IndexParity, IndexRange, TooMuchWork, require_ints, shown
+from .errors import (FormatError, IndexParity, IndexRange, TooMuchWork, quoted, require_ints,
+                     shown)
 from .invariants import closure_determinant
 from .plat import TwistMatrix, closure_components, to_braid_word
 
@@ -49,7 +50,7 @@ class HildenMove:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise IndexRange(f"unknown Hilden move kind {shown(self.kind)}")
+            raise IndexRange(f"unknown Hilden move kind {quoted(self.kind)}")
         require_ints(IndexRange, "Hilden move index", (self.index,))
 
 
@@ -101,14 +102,23 @@ def _generator_words(strands: int) -> tuple[BraidWord, ...]:
     return tuple(expand(g, strands) for g in hilden_generators(strands))
 
 
-def random_hilden_element(strands: int, length: int, seed: int) -> BraidWord:
-    """Product of ``length`` uniformly chosen generators or their inverses,
-    deterministic in ``seed``.  The generator words come from a table built
-    once per strand count, in the order of :func:`hilden_generators`, and
-    one :func:`compose` joins the words drawn."""
+def random_hilden_element(strands: int, length: int,
+                          seed: int | random.Random) -> BraidWord:
+    """Product of ``length`` uniformly chosen generators or their inverses.
+
+    ``seed`` is an int, which seeds a fresh ``random.Random`` so the word is
+    deterministic in it, or a ``random.Random``, which is drawn from and left
+    advanced; a generator seeded with ``k`` draws the same word as ``k``.
+    The generator words come from a table built once per strand count, in
+    the order of :func:`hilden_generators`, and one :func:`compose` joins
+    the words drawn."""
     empty = BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
-    require_ints(FormatError, "length and seed", (length, seed))
-    rng = random.Random(seed)
+    if isinstance(seed, random.Random):
+        require_ints(FormatError, "length", (length,))
+        rng = seed
+    else:
+        require_ints(FormatError, "length and seed", (length, seed))
+        rng = random.Random(seed)
     gens = _generator_words(strands)
     words = []
     for _ in range(length):
@@ -181,6 +191,10 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     theorem's hypotheses, or the code of the failing one is raised, as
     :func:`~platknot.canonical.equivalent` does.
 
+    ``seed``, an int, seeds one ``random.Random`` per call.  Every translate
+    is drawn from it: each side's length, then that side's generators, which
+    :func:`random_hilden_element` draws from the same generator.
+
     The closure determinant, of word 2 once and of word 1 and each translate,
     is nearly all the cost, so TooMuchWork is raised before the first one
     when their colouring bits, ``(1 + samples) * bits(mat1) + bits(mat2)``,
@@ -207,8 +221,8 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     rng = random.Random(seed)
     reduced_b2 = free_reduce(b2)
     for s in range(samples):
-        h_left = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
-        h_right = random_hilden_element(b1.strands, rng.randrange(1, 5), rng.randrange(1 << 30))
+        h_left = random_hilden_element(b1.strands, rng.randrange(1, 5), rng)
+        h_right = random_hilden_element(b1.strands, rng.randrange(1, 5), rng)
         translate = compose(h_left, b1, h_right)
         inv_t = _closure_invariants(translate)
         mismatch = _differences(inv1, inv_t)

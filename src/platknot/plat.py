@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -28,6 +29,7 @@ from .errors import (
     InternalError,
     WidthTooSmall,
     WrongRowLength,
+    quoted,
     refused_int,
     require_ints,
     shown,
@@ -104,7 +106,7 @@ class TwistMatrix:
             raise FormatError("empty twist-matrix file")
         head = lines[0].split()
         if len(head) != 2:
-            raise FormatError(f"header must be 'm n', got {lines[0]!r}")
+            raise FormatError(f"header must be 'm n', got {quoted(lines[0])}")
         try:
             m, n = int(head[0]), int(head[1])
             rows = tuple(tuple(map(int, line.split())) for line in lines[1:])
@@ -201,13 +203,18 @@ class PlatClosureStyle(enum.Enum):
     EVEN = "even"
     DOUBLY_EVEN = "doubly_even"
 
-    def bridges(self, strands: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    # bounded: a library caller may try many strand counts; an enum member is
+    # a singleton, so the cache keeps no instance alive that would otherwise die
+    @lru_cache(maxsize=48)
+    def bridges(self, strands: int) -> tuple[tuple[tuple[int, int], ...],
+                                             tuple[tuple[int, int], ...]]:
         """The (top, bottom) bridge pairs of this closure on ``strands``
-        strands.  An end pairs (1,2),(3,4),... or, shifted, (2,3),...,(2m,1):
-        the standard style shifts neither end, the even style the bottom, the
-        doubly even style both."""
-        plain = [(p, p + 1) for p in range(1, strands, 2)]
-        shifted = [(p, p % strands + 1) for p in range(2, strands + 1, 2)]
+        strands, built once per style and strand count.  An end pairs
+        (1,2),(3,4),... or, shifted, (2,3),...,(2m,1): the standard style
+        shifts neither end, the even style the bottom, the doubly even style
+        both."""
+        plain = tuple((p, p + 1) for p in range(1, strands, 2))
+        shifted = tuple((p, p % strands + 1) for p in range(2, strands + 1, 2))
         return (shifted if self is PlatClosureStyle.DOUBLY_EVEN else plain,
                 plain if self is PlatClosureStyle.STANDARD else shifted)
 

@@ -181,6 +181,10 @@ BEYOND_MAXSIZE = "2 1\n10000000000000000000\n"  # len() of its word would overfl
 LONG_INT_JSON = '{"m": 2, "rows": [[1' + "0" * 4300 + ']]}'  # past Python's int digit limit
 DEEP_JSON = '{"m": ' + "[" * 100_000 + "]" * 100_000 + "}"
 THOUSAND_DIGITS = "4 3\n" + "\n".join(" ".join(["9" * 1000] * k) for k in (3, 4, 3)) + "\n"
+# a zero row between two 4,300-digit entries: their runs merge into a 4,301-digit exponent
+MERGED_PAST_LIMIT = "2 3\n" + "9" * 4300 + "\n0 0\n" + "9" * 4300 + "\n"
+NINES = "9" * 5000  # past the digit limit: a token never echoed whole
+LONG_HEADER = f"2 1 {NINES}\n3\n"
 # (arguments, contents of FILE or None, what stderr must name)
 REJECTED = (
     [(["invariants", "FILE"], text, "FormatError") for text in BAD_JSON]
@@ -196,11 +200,21 @@ REJECTED = (
     + [(["hilden", "random", "--strands", k, "--length", "2"], None, "--strands")
        for k in ("258", "1024")]
     + [([cmd, "FILE"], "2 1\n1000000000\n", "TooManyCrossings")
-       for cmd in ("pd", "gauss", "invariants", "braid")]
+       for cmd in ("pd", "gauss", "invariants")]
     + [(["--json", "braid", "FILE"], "2 1\n1000000000\n", "TooManyCrossings")]
     + [(argv, BEYOND_MAXSIZE, "TooManyCrossings")
-       for argv in (["pd", "FILE"], ["braid", "FILE"], ["--json", "braid", "FILE"],
+       for argv in (["pd", "FILE"], ["--json", "braid", "FILE"],
                     ["hilden", "apply", "FILE", "--left", "h1@1"])]
+    + [(["braid", "FILE"], MERGED_PAST_LIMIT, "TooManyDigits"),
+       (["hilden", "apply", "FILE", "--left", "h1@1"], MERGED_PAST_LIMIT, "TooManyCrossings")]
+    # a long token is named by its length, not echoed
+    + [(["hilden", "apply", "FILE", "--left", f"h1@{NINES}"], EXAMPLE_TEXT, "FormatError"),
+       (["hilden", "apply", "FILE", "--right", f"h{NINES}@1"], EXAMPLE_TEXT, "IndexRange"),
+       (["hilden", "apply", "FILE", "--right", NINES], EXAMPLE_TEXT, "FormatError"),
+       (["hilden", "random", "--strands", NINES, "--length", "2"], None, "--strands"),
+       (["hilden", "random", "--strands", "8", "--length", NINES[:4000]], None, "--length"),
+       (["hilden", "random", "--strands", "8", "--length", "2", "--seed", NINES], None, "--seed"),
+       (["validate", "FILE"], LONG_HEADER, "FormatError")]
     + [(["spheres", "--m", "101", "--n", "3"], None, "--m"),
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
@@ -228,9 +242,12 @@ def _short(arg: str) -> str:
 @pytest.mark.parametrize("argv, text, named", REJECTED,
                          ids=[" ".join(map(_short, argv))
                               + (f" {text}" if text in BAD_JSON + [BEYOND_MAXSIZE] else "")
+                              + {MERGED_PAST_LIMIT: " merged", LONG_HEADER: " long header"}.get(
+                                  text, "")
                               for argv, text, _ in REJECTED])
 def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv, text, named):
     # any exception other than argparse's SystemExit escapes main and fails here
+    path = "FILE"
     if text is not None:
         path = write_plat(tmp_path, "input.plat", text)
         argv = [path if a == "FILE" else a for a in argv]
@@ -241,6 +258,7 @@ def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv
         status = exc.code
     err = capsys.readouterr().err
     assert status == 2 and named in err and "Traceback" not in err
+    assert len(err.replace(path, "FILE")) < 300  # no input echoed whole
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -399,6 +417,11 @@ EXACT_OUTPUTS = [
     pytest.param("symmetries FILE", "4 3\n-4 -4 -4\n-4 -4 -4 -4\n-4 -4 -4\n", 0,
                  "id h v hv\n", "", id="symmetries all -4"),
     pytest.param("braid FILE", TREFOIL, 0, "4 strands: s2^-3\n", "", id="braid trefoil"),
+    # text braid prints the runs, so no crossing budget applies
+    pytest.param("braid FILE", "2 1\n1000000000\n", 0, "4 strands: s2^-1000000000\n", "",
+                 id="braid 10^9 crossings"),
+    pytest.param("braid FILE", BEYOND_MAXSIZE, 0, "4 strands: s2^-10000000000000000000\n", "",
+                 id="braid beyond maxsize"),
     pytest.param("pd FILE", TREFOIL, 0, "X[1,5,2,4]\nX[5,3,6,2]\nX[3,1,4,6]\n", "",
                  id="pd trefoil"),
     pytest.param("gauss FILE", TREFOIL, 0, "U1+ O2+ U3+ O1+ U2+ O3+\n", "", id="gauss trefoil"),

@@ -449,8 +449,8 @@ def criterion_plats() -> list[TwistMatrix]:
 
 def hilden_translate(word: BraidWord, rng: random.Random) -> BraidWord:
     """A translate h b h' of ``word``, drawn as coset_consistency draws them."""
-    h_left, h_right = (random_hilden_element(word.strands, rng.randrange(1, 5),
-                                             rng.randrange(1 << 30)) for _ in range(2))
+    h_left, h_right = (random_hilden_element(word.strands, rng.randrange(1, 5), rng)
+                       for _ in range(2))
     return compose(h_left, word, h_right)
 
 

@@ -163,6 +163,15 @@ class TestRandomElement:
         with pytest.raises(FormatError):
             random_hilden_element(4, length, seed)
 
+    def test_a_generator_draws_the_word_its_seed_draws(self):
+        for seed in range(50):
+            for length in range(9):
+                rng = random.Random(seed)
+                assert random_hilden_element(8, length, rng) == random_hilden_element(
+                    8, length, seed)
+                # drawn from, so advanced, unless nothing was drawn
+                assert (rng.getstate() == random.Random(seed).getstate()) == (length == 0)
+
     def test_samples_preserve_bridge_partition(self):
         # 1000 samples across seeds; the subgroup must fix {{1,2},...,{7,8}}
         for seed in range(250):
@@ -217,6 +226,32 @@ class TestCosetConsistency:
     def test_samples_and_seed_must_be_exact_ints(self, samples, seed):
         with pytest.raises(FormatError):
             coset_consistency(M1, M1, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("samples", [0, 1, 6])
+    def test_one_generator_per_call(self, samples, monkeypatch):
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+        monkeypatch.setattr(hilden, "random", SimpleNamespace(Random=Counting))
+        coset_consistency(M1, M2, samples=samples, seed=5)
+        assert built == [(5,)]
+
+    def test_same_seed_same_translates_and_report(self, monkeypatch):
+        words, invariants_of = [], hilden._closure_invariants
+
+        def recording(word):
+            words.append(word)
+            return invariants_of(word)
+        monkeypatch.setattr(hilden, "_closure_invariants", recording)
+        runs = []
+        for seed in (9, 9, 10):
+            words.clear()
+            runs.append((coset_consistency(M1, M1_ROT, samples=5, seed=seed), words[:]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] != runs[2][1]
 
     def test_summary_mentions_verdict(self):
         report = coset_consistency(M1, M1, samples=2, seed=0)

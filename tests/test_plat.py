@@ -181,7 +181,7 @@ class TestClosure:
 
 
     def test_bridge_pairs_of_each_style(self):
-        plain, shifted = [(1, 2), (3, 4), (5, 6)], [(2, 3), (4, 5), (6, 1)]
+        plain, shifted = ((1, 2), (3, 4), (5, 6)), ((2, 3), (4, 5), (6, 1))
         assert PlatClosureStyle.STANDARD.bridges(6) == (plain, plain)
         assert PlatClosureStyle.EVEN.bridges(6) == (plain, shifted)
         assert PlatClosureStyle.DOUBLY_EVEN.bridges(6) == (shifted, shifted)
