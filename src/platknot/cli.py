@@ -18,14 +18,8 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import canonical, hilden, invariants, spheres, twobridge
-from .errors import FormatError, PlatError, TooManyDigits, quoted, refused_int
-from .plat import (
-    PlatClosureStyle,
-    TwistMatrix,
-    braid_closure,
-    closure,
-    to_braid_word,
-)
+from .errors import FormatError, PlatError, TooManyDigits, bounded, refused_int
+from .plat import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word
 
 __all__ = ["main"]
 
@@ -33,7 +27,7 @@ __all__ = ["main"]
 def _load_matrix(path: str) -> TwistMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # drop a BOM; byte offsets count it
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -56,8 +50,8 @@ def _emit(args, payload: dict, human: str) -> None:
 
 @contextlib.contextmanager
 def _digit_limit():
-    """Turn Python's int-to-str limit (4,300 digits by default), met while
-    printing an exact result, into TooManyDigits."""
+    """Turn Python's int-to-str limit, met while printing an exact result, into
+    TooManyDigits; every other ValueError is caught where it is raised."""
     try:
         yield
     except ValueError as exc:
@@ -94,9 +88,8 @@ def _cmd_braid(args) -> int:
     word = to_braid_word(_load_matrix(args.file))
     if args.json:  # only the JSON form expands the crossings, within CROSSING_BUDGET
         print(json.dumps(braidmod.word_json(word), sort_keys=True))
-    else:
-        with _digit_limit():  # runs merged across zero rows can outgrow an entry
-            print(f"{word.strands} strands: {braidmod.format_word(word)}")
+    else:  # runs merged across zero rows can outgrow an entry: main's digit guard
+        print(f"{word.strands} strands: {braidmod.format_word(word)}")
     return 0
 
 
@@ -139,8 +132,7 @@ def _print_invariants(args, word, style: PlatClosureStyle, head: tuple = ()) -> 
         payload["jones"] = None
         fields.append(("jones", f"skipped ({diagram.crossing_count} crossings "
                                 f"> cap {args.jones_cap})"))
-    with _digit_limit():
-        _emit(args, payload, "\n".join(f"{name + ':':<13}{value}" for name, value in fields))
+    _emit(args, payload, "\n".join(f"{name + ':':<13}{value}" for name, value in fields))
     return 0
 
 
@@ -162,7 +154,7 @@ def _parse_fraction(text: str) -> Fraction:
             raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text[:40]!r}: {exc}") from None
+        raise FormatError(f"bad rational {text!r}: {exc}") from None
 
 
 def _parse_coeff_list(text: str) -> list[int]:
@@ -194,10 +186,8 @@ def _cmd_twobridge(args) -> int:
         raise TooManyDigits(f"the Schubert pair's numerator has at least {digits} digits, "
                             f"over Python's limit of {limit}")
     pair = sorted(twobridge.schubert_pair(coeffs))
-    with _digit_limit():
-        _emit(args,
-              {"coeffs": coeffs, "schubert-pair": [str(r) for r in pair]},
-              " ".join(str(r) for r in pair))
+    _emit(args, {"coeffs": coeffs, "schubert-pair": [str(r) for r in pair]},
+          " ".join(str(r) for r in pair))
     return 0
 
 
@@ -212,7 +202,7 @@ def _parse_moves(text: str | None, side: str) -> list[hilden.HildenMove]:
     for k, tok in enumerate(tokens, 1):
         kind, at, idx = tok.partition("@")
         if not at:
-            raise FormatError(f"--{side} move {k}: {quoted(tok)} is not kind@index")
+            raise FormatError(f"--{side} move {k}: {tok!r} is not kind@index")
         try:
             index = int(idx)
         except ValueError:
@@ -249,8 +239,7 @@ def _cmd_hilden_coset(args) -> int:
                           "consistent": report.consistent,
                           "violations": list(report.violations)}))
     else:
-        with _digit_limit():
-            print(report.summary())
+        print(report.summary())
     return 0 if report.consistent else 1
 
 
@@ -261,25 +250,22 @@ def _cmd_spheres(args) -> int:
     return 0
 
 
-def _int_arg(text: str) -> int:
-    """argparse type for an integer; unlike ``int``, whose refusal argparse
-    echoes whole, it names a long token by its length."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
-
-
 def _int_in(lo: int | None, hi: int):
     """argparse type for an integer in lo..hi (lo None: at most hi, and the
     command rejects a value that is too small), checked before any work."""
     def check(text: str) -> int:
-        value = _int_arg(text)
+        value = int(text)
         if value > hi or (lo is not None and value < lo):
             bound = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"{quoted(text)} is not {bound}")
+            raise argparse.ArgumentTypeError(f"{text!r} is not {bound}")
         return value
+    check.__name__ = "int"  # argparse refuses a ValueError as "invalid int value"
     return check
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a refusal quotes the value; subparsers share the class
+        super().error(bounded(message))
 
 
 def _shared_option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -297,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
         help="largest crossing count whose Jones polynomial is computed, "
              f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
-    seed = _shared_option("--seed", type=_int_arg, default=0)
-    parser = argparse.ArgumentParser(
+    seed = _shared_option("--seed", type=int, default=0)
+    parser = _Parser(
         prog="plat",
         description="Highly twisted plat diagrams: canonical forms, invariants, "
                     "2-bridge data, Hilden moves and vertical spheres.")
@@ -377,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _digit_limit():
+            return args.fn(args)
     except PlatError as exc:
         if args.json:
             print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

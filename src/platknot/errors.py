@@ -5,18 +5,21 @@ the CLI can print uniform diagnostics and scripts can match on them.
 :func:`require_ints` is the rule every integer input obeys: its type is
 exactly ``int``, so a bool or a float is refused, never truncated.  Messages
 render values through :func:`shown`, so an int too long for Python to print
-never turns an error into a bare ``ValueError``; :func:`quoted` shows a
-piece of outside input, which may be long, in at most 40 characters; and
-:func:`refused_int` names an integer token that ``int`` refuses without
-Python's own text.
+never turns an error into a bare ``ValueError``; :func:`bounded` names a
+long quoted string or digit run in a message by its length; and
+:func:`refused_int` names an integer token that ``int`` refuses.
 """
 
+import re
 import sys
 from typing import Callable, Iterable
 
 
 class PlatError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package; its text is bounded."""
+
+    def __str__(self) -> str:
+        return bounded(super().__str__())
 
     @property
     def code(self) -> str:
@@ -114,12 +117,19 @@ def shown(value, text: Callable[[object], str] = repr) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def quoted(token) -> str:
-    """``shown(token)``, or for a str of more than 40 characters its length:
-    how a message shows a piece of outside input without echoing it whole."""
-    if isinstance(token, str) and len(token) > 40:
-        return f"a string of {len(token)} characters"
-    return shown(token)
+# A quoted string as repr shows it (group 2: its body; a quote inside a word,
+# as in "Python's", opens none), and a run of digits with its sign.
+_QUOTED = re.compile(r"""(?<!\w)(['"])((?:(?!\1)[^\\\n]|\\.)*)\1(?!\w)""")
+_DIGITS = re.compile(r"[-+]?(\d{41,})")
+
+
+def bounded(text: str) -> str:
+    """``text`` with each quoted string of more than 40 characters between its
+    quotes replaced by ``a string of N characters``, and each run of more than
+    40 digits, with its sign, by ``an integer of N digits``."""
+    text = _QUOTED.sub(lambda m: f"a string of {len(m[2])} characters" if len(m[2]) > 40 else m[0],
+                       text)
+    return _DIGITS.sub(lambda m: f"an integer of {len(m[1])} digits", text)
 
 
 def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
@@ -133,8 +143,8 @@ def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:
 def refused_int(labelled: Iterable[tuple[str, str]]) -> PlatError:
     """The FormatError for the first ``(where, token)`` whose token ``int``
     refuses: an integer past Python's int-to-str digit limit by its digit
-    count, anything else through :func:`quoted`.  Never Python's message,
-    which quotes up to 200 characters of the token."""
+    count, anything else by its repr.  Never Python's message, which
+    quotes up to 200 characters of the token."""
     for where, token in labelled:
         try:
             int(token)
@@ -143,5 +153,5 @@ def refused_int(labelled: Iterable[tuple[str, str]]) -> PlatError:
             if body.isdecimal():
                 return FormatError(f"{where}: an integer of {len(body)} digits is over "
                                    f"Python's limit of {sys.get_int_max_str_digits()}")
-            return FormatError(f"{where}: {quoted(token)} is not an integer")
+            return FormatError(f"{where}: {token!r} is not an integer")
     return InternalError("int refused none of the tokens")

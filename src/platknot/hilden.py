@@ -17,8 +17,7 @@ from typing import Sequence
 
 from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import equivalent
-from .errors import (FormatError, IndexParity, IndexRange, TooMuchWork, quoted, require_ints,
-                     shown)
+from .errors import FormatError, IndexParity, IndexRange, TooMuchWork, require_ints, shown
 from .invariants import closure_determinant
 from .plat import TwistMatrix, closure_components, to_braid_word
 
@@ -50,7 +49,7 @@ class HildenMove:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise IndexRange(f"unknown Hilden move kind {quoted(self.kind)}")
+            raise IndexRange(f"unknown Hilden move kind {shown(self.kind)}")
         require_ints(IndexRange, "Hilden move index", (self.index,))
 
 
@@ -119,6 +118,8 @@ def random_hilden_element(strands: int, length: int,
     else:
         require_ints(FormatError, "length and seed", (length, seed))
         rng = random.Random(seed)
+    if length < 0:
+        raise FormatError(f"length must be >= 0, got {shown(length)}")
     gens = _generator_words(strands)
     words = []
     for _ in range(length):
@@ -204,6 +205,8 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     5 digits) 74 s.
     """
     require_ints(FormatError, "samples and seed", (samples, seed))
+    if samples < 0:
+        raise FormatError(f"samples must be >= 0, got {shown(samples)}")
     rotation_related = equivalent(mat1, mat2)  # raises outside the hypotheses unless True
     work = (1 + samples) * _colouring_bits(mat1) + _colouring_bits(mat2)
     if work > COSET_WORK_BUDGET:

@@ -29,7 +29,6 @@ from .errors import (
     InternalError,
     WidthTooSmall,
     WrongRowLength,
-    quoted,
     refused_int,
     require_ints,
     shown,
@@ -106,7 +105,7 @@ class TwistMatrix:
             raise FormatError("empty twist-matrix file")
         head = lines[0].split()
         if len(head) != 2:
-            raise FormatError(f"header must be 'm n', got {quoted(lines[0])}")
+            raise FormatError(f"header must be 'm n', got {lines[0]!r}")
         try:
             m, n = int(head[0]), int(head[1])
             rows = tuple(tuple(map(int, line.split())) for line in lines[1:])

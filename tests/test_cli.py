@@ -165,6 +165,16 @@ class TestTwobridge:
         assert main(["twobridge", "--coeffs", ",".join(map(str, coeffs))]) == 2
         assert "at least 4296 digits, over Python's limit of 4295" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_rational_past_a_lowered_limit_exits_2(self, capsys, digit_limit, json_flag):
+        # 1e700 passes the 4,300-digit bound on the input, but its 701
+        # digits cannot be printed at a limit of 640
+        digit_limit(640)
+        assert main([*json_flag, "twobridge", "--rational", "1e700"]) == 2
+        out, err = capsys.readouterr()
+        head = '{"error": "TooManyDigits", ' if json_flag else "error: TooManyDigits: "
+        assert out == "" and err.startswith(head) and "Traceback" not in err
+
     def test_no_limit_refuses_nothing_early(self, capsys, digit_limit):
         coeffs = ",".join(["999"] * 3001)  # 8,130-digit bound: refused at the default limit
         digit_limit(0)
@@ -185,6 +195,18 @@ THOUSAND_DIGITS = "4 3\n" + "\n".join(" ".join(["9" * 1000] * k) for k in (3, 4,
 MERGED_PAST_LIMIT = "2 3\n" + "9" * 4300 + "\n0 0\n" + "9" * 4300 + "\n"
 NINES = "9" * 5000  # past the digit limit: a token never echoed whole
 LONG_HEADER = f"2 1 {NINES}\n3\n"
+AT_LIMIT = "9" * 4300  # prints, but is named by its length
+LONG_ENTRY = f"2 1\n{AT_LIMIT}\n"
+# (contents of FILE, its label in test ids, its code): each refusal would
+# print a long value of the file
+LONG_VALUES = [
+    (f"2 {AT_LIMIT}\n", "long n", "FormatError"),
+    (f"{AT_LIMIT} 1\n3\n", "long m", "WrongRowLength"),
+    ('{"plat-format": "' + "x" * 5000 + '", "m": 2, "rows": [[3]]}', "long plat-format",
+     "FormatError"),
+    ('{"m": 2, "n": ' + "9" * 4000 + ', "rows": [[3]]}', "long JSON n", "FormatError"),
+    ('{"m": -' + "9" * 4000 + ', "rows": [[3]]}', "long negative JSON m", "WidthTooSmall"),
+]
 # (arguments, contents of FILE or None, what stderr must name)
 REJECTED = (
     [(["invariants", "FILE"], text, "FormatError") for text in BAD_JSON]
@@ -215,6 +237,15 @@ REJECTED = (
        (["hilden", "random", "--strands", "8", "--length", NINES[:4000]], None, "--length"),
        (["hilden", "random", "--strands", "8", "--length", "2", "--seed", NINES], None, "--seed"),
        (["validate", "FILE"], LONG_HEADER, "FormatError")]
+    # a long value the message prints is named by its length too
+    + [(["hilden", "apply", "FILE", "--left", "h1@" + NINES[:4299]], EXAMPLE_TEXT, "IndexRange"),
+       (["hilden", "apply", "FILE", "--left", "h1@8" + NINES[:4297] + "8"], EXAMPLE_TEXT,
+        "IndexParity")]
+    + [(argv, LONG_ENTRY, "TooManyCrossings")
+       for argv in (["--json", "braid", "FILE"], ["invariants", "FILE"])]
+    + [(["validate", "FILE"], text, code) for text, _, code in LONG_VALUES]
+    + [(["pd", "FILE", "--style", "x" * 5000], EXAMPLE_TEXT, "--style"),
+       (["twobridge", "FILE", "--side", "y" * 5000], EXAMPLE_TEXT, "--side")]
     + [(["spheres", "--m", "101", "--n", "3"], None, "--m"),
        (["spheres", "--m", "4", "--n", "103"], None, "--n"),
        (["spheres", "--m", "3", "--n", "101"], None, "DimensionsOutOfTheoremRange"),
@@ -242,8 +273,10 @@ def _short(arg: str) -> str:
 @pytest.mark.parametrize("argv, text, named", REJECTED,
                          ids=[" ".join(map(_short, argv))
                               + (f" {text}" if text in BAD_JSON + [BEYOND_MAXSIZE] else "")
-                              + {MERGED_PAST_LIMIT: " merged", LONG_HEADER: " long header"}.get(
-                                  text, "")
+                              + {MERGED_PAST_LIMIT: " merged", LONG_HEADER: " long header",
+                                 LONG_ENTRY: " long entry",
+                                 **{text: f" {label}" for text, label, _ in LONG_VALUES}}.get(
+                                     text, "")
                               for argv, text, _ in REJECTED])
 def test_rejected_input_exits_2_naming_the_code_or_option(tmp_path, capsys, argv, text, named):
     # any exception other than argparse's SystemExit escapes main and fails here
@@ -390,6 +423,11 @@ EXACT_OUTPUTS = [
                  id="twobridge --coeffs 3,-3,3"),
     pytest.param("twobridge --rational 21/8", None, 0, "21/8 = [3; -3, 3]\n", "",
                  id="twobridge --rational 21/8"),
+    # a value starting with "-" is joined to its option by "="
+    pytest.param("twobridge --rational=-21/8", None, 0, "-21/8 = [-3; 3, -3]\n", "",
+                 id="twobridge --rational=-21/8"),
+    pytest.param("twobridge --coeffs=-3,3,-3", None, 0, "-33/10\n", "",
+                 id="twobridge --coeffs=-3,3,-3"),
     pytest.param("twobridge FILE --side right", EXAMPLE_TEXT, 0, "-86/15 -86/23\n", "",
                  id="twobridge FILE --side right"),
     pytest.param("--json symmetries FILE", EXAMPLE_TEXT, 0, '{"symmetries": ["id"]}\n', "",
@@ -408,6 +446,14 @@ EXACT_OUTPUTS = [
                  id="validate non-UTF-8"),
     pytest.param("validate FILE", EXAMPLE_TEXT, 0, "ok: width 4, height 3\n", "",
                  id="validate FILE"),
+    # a UTF-8 byte-order mark is dropped, before a text or a JSON matrix
+    pytest.param("validate FILE", b"\xef\xbb\xbf" + EXAMPLE_TEXT.encode(), 0,
+                 "ok: width 4, height 3\n", "", id="validate text after a BOM"),
+    pytest.param("validate FILE", b'\xef\xbb\xbf{"m": 2, "rows": [[3]]}', 0,
+                 "ok: width 2, height 1\n", "", id="validate JSON after a BOM"),
+    pytest.param("validate FILE", b"\xef\xbb\xbf4 3\n\xff\n", 2, "",
+                 "error: FormatError: cannot read FILE: not UTF-8 at byte 7\n",
+                 id="validate non-UTF-8 after a BOM"),
     pytest.param("validate FILE", None, 2, "",
                  "error: FormatError: cannot read FILE: No such file or directory\n",
                  id="validate missing file"),

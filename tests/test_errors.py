@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import platknot
 from platknot import (
@@ -28,6 +29,7 @@ from platknot.errors import (
     TooManyCrossings,
     WidthTooSmall,
     WrongRowLength,
+    bounded,
     require_ints,
     shown,
 )
@@ -98,6 +100,38 @@ def test_shown_renders_any_value():
     assert shown(3) == "3" and shown("a") == "'a'" and shown(Fraction(7, 2), str) == "7/2"
     assert shown(HUGE) == "<int too long to print>"
     assert shown((1, HUGE)) == "<tuple too long to print>"
+
+
+# pieces of a message: words (an apostrophe inside one quotes nothing),
+# signed digit runs, and strings as repr shows them
+_WORDS = st.sampled_from(["got", "Python's", "n=", "(", "),", ":", "s2^"])
+_DIGIT_RUNS = st.builds(str.__add__, st.sampled_from(["", "-", "+"]),
+                        st.integers(1, 80).map("7".__mul__))
+_REPRS = st.text(max_size=80).map(repr)
+
+
+def _named(piece: str) -> str:
+    """What bounded makes of one piece: a long digit run or repr by its length."""
+    if piece[:1] in "'\"":
+        return piece if len(piece) <= 42 else f"a string of {len(piece) - 2} characters"
+    digits = piece.lstrip("+-")
+    if digits.isdigit() and len(digits) > 40:
+        return f"an integer of {len(digits)} digits"
+    return piece
+
+
+@given(st.lists(st.one_of(_WORDS, _DIGIT_RUNS, _REPRS), max_size=8))
+def test_bounded_names_each_long_value_by_its_length(pieces):
+    out = bounded(" ".join(pieces))
+    assert out == " ".join(map(_named, pieces))  # short pieces, and all text between, unchanged
+    assert bounded(out) == out
+
+
+def test_a_coded_error_is_bounded_wherever_printed():
+    assert str(IndexRange(f"index {-10 ** 50} of {'x' * 41!r}")) == (
+        "index an integer of 51 digits of a string of 41 characters")
+    short = f"index {10 ** 39} of {'x' * 40!r}"
+    assert str(IndexRange(short)) == short
 
 
 def _is_int(node) -> bool:

@@ -158,7 +158,7 @@ class TestRandomElement:
             random_hilden_element(strands, 3, 0)
 
     @pytest.mark.parametrize("length,seed", [(2.5, 0), (2.0, 0), (True, 0), ("2", 0),
-                                             (2, 0.5), (2, "0"), (2, None)])
+                                             (2, 0.5), (2, "0"), (2, None), (-1, 0)])
     def test_length_and_seed_must_be_exact_ints(self, length, seed):
         with pytest.raises(FormatError):
             random_hilden_element(4, length, seed)
@@ -222,7 +222,8 @@ class TestCosetConsistency:
         with pytest.raises(error):
             coset_consistency(mat1, mat2, samples=4, seed=2)
 
-    @pytest.mark.parametrize("samples,seed", [(2.5, 0), (2.0, 0), (False, 0), (2, 0.5), (2, "0")])
+    @pytest.mark.parametrize("samples,seed", [(2.5, 0), (2.0, 0), (False, 0), (2, 0.5), (2, "0"),
+                                              (-1, 0)])
     def test_samples_and_seed_must_be_exact_ints(self, samples, seed):
         with pytest.raises(FormatError):
             coset_consistency(M1, M1, samples=samples, seed=seed)
