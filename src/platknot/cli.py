@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -54,8 +55,9 @@ def _digit_limit():
     TooManyDigits; every other ValueError is caught where it is raised."""
     try:
         yield
-    except ValueError as exc:
-        raise TooManyDigits(f"an exact result is too long to print: {exc}") from None
+    except ValueError:
+        raise TooManyDigits("an exact result is too long to print: it has more than "
+                            f"Python's limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def _cmd_validate(args) -> int:
@@ -151,10 +153,11 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         if len(text) > MAX_RATIONAL_DIGITS or (
                 len(text) + abs(int(text.lower().partition("e")[2] or 0)) > MAX_RATIONAL_DIGITS):
-            raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
+            raise FormatError(f"bad rational {text!r}: more than {MAX_RATIONAL_DIGITS} digits")
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):  # Python's message would quote the value again
+        raise FormatError(f"bad rational {text!r}: not an integer, a decimal or p/q with "
+                          "q != 0") from None
 
 
 def _parse_coeff_list(text: str) -> list[int]:
@@ -226,7 +229,7 @@ def _cmd_hilden_apply(args) -> int:
 
 
 def _cmd_hilden_random(args) -> int:
-    word = hilden.random_hilden_element(args.strands, args.length, args.seed)
+    word = hilden.random_hilden_element(args.strands, args.length, random.Random(args.seed))
     return _print_word_invariants(args, word)
 
 

@@ -118,18 +118,22 @@ def shown(value, text: Callable[[object], str] = repr) -> str:
 
 
 # A quoted string as repr shows it (group 2: its body; a quote inside a word,
-# as in "Python's", opens none), and a run of digits with its sign.
+# as in "Python's", opens none), one character of such a body (each escape
+# repr writes is one), and a run of digits with its sign.
 _QUOTED = re.compile(r"""(?<!\w)(['"])((?:(?!\1)[^\\\n]|\\.)*)\1(?!\w)""")
-_DIGITS = re.compile(r"[-+]?(\d{41,})")
+_CHAR = re.compile(r"\\(?:x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8}|.)|.")
+_DIGITS = re.compile(r"([-+]?)(\d{41,})")
 
 
 def bounded(text: str) -> str:
     """``text`` with each quoted string of more than 40 characters between its
-    quotes replaced by ``a string of N characters``, and each run of more than
-    40 digits, with its sign, by ``an integer of N digits``."""
-    text = _QUOTED.sub(lambda m: f"a string of {len(m[2])} characters" if len(m[2]) > 40 else m[0],
-                       text)
-    return _DIGITS.sub(lambda m: f"an integer of {len(m[1])} digits", text)
+    quotes replaced by ``a string of N characters``, N counting each escape as
+    one, and each run of more than 40 digits by ``an integer of N digits``,
+    or ``a negative integer of N digits`` after a minus sign."""
+    text = _QUOTED.sub(lambda m: m[0] if len(m[2]) <= 40 else
+                       f"a string of {len(_CHAR.findall(m[2]))} characters", text)
+    return _DIGITS.sub(lambda m: f"{'a negative' if m[1] == '-' else 'an'} integer of "
+                                 f"{len(m[2])} digits", text)
 
 
 def require_ints(error: type[PlatError], what: str, values: Iterable) -> None:

@@ -90,10 +90,8 @@ def apply_moves(b: BraidWord,
 
 def hilden_generators(strands: int) -> list[HildenMove]:
     """All legal generators on the given strand count."""
-    gens = [HildenMove("h1", i) for i in range(1, strands, 2)]
-    for kind in ("h2", "h3", "h4"):
-        gens.extend(HildenMove(kind, i) for i in range(1, strands - 1, 2))
-    return gens
+    return ([HildenMove("h1", i) for i in range(1, strands, 2)]
+            + [HildenMove(kind, i) for kind in KINDS[1:] for i in range(1, strands - 1, 2)])
 
 
 @lru_cache(maxsize=16)  # bounded: a library caller may try many strand counts
@@ -101,23 +99,15 @@ def _generator_words(strands: int) -> tuple[BraidWord, ...]:
     return tuple(expand(g, strands) for g in hilden_generators(strands))
 
 
-def random_hilden_element(strands: int, length: int,
-                          seed: int | random.Random) -> BraidWord:
-    """Product of ``length`` uniformly chosen generators or their inverses.
-
-    ``seed`` is an int, which seeds a fresh ``random.Random`` so the word is
-    deterministic in it, or a ``random.Random``, which is drawn from and left
-    advanced; a generator seeded with ``k`` draws the same word as ``k``.
-    The generator words come from a table built once per strand count, in
-    the order of :func:`hilden_generators`, and one :func:`compose` joins
-    the words drawn."""
+def random_hilden_element(strands: int, length: int, rng: random.Random) -> BraidWord:
+    """Product of ``length`` uniformly chosen generators or their inverses,
+    drawn from ``rng``, which is left advanced.  The generator words come
+    from a table built once per strand count, in the order of
+    :func:`hilden_generators`, and one :func:`compose` joins the words drawn."""
     empty = BraidWord(strands)  # rejects a bad strand count first: 8.0 and True hash like 8 and 1
-    if isinstance(seed, random.Random):
-        require_ints(FormatError, "length", (length,))
-        rng = seed
-    else:
-        require_ints(FormatError, "length and seed", (length, seed))
-        rng = random.Random(seed)
+    if not isinstance(rng, random.Random):
+        raise FormatError(f"rng must be a random.Random, got {type(rng).__name__}")
+    require_ints(FormatError, "length", (length,))
     if length < 0:
         raise FormatError(f"length must be >= 0, got {shown(length)}")
     gens = _generator_words(strands)

@@ -131,8 +131,10 @@ class TwistMatrix:
             raise FormatError(f"unsupported plat-format {shown(obj.get('plat-format'))}")
         try:
             m, rows = obj["m"], [tuple(r) for r in obj["rows"]]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad twist-matrix JSON: {exc}") from None
+        except KeyError as exc:
+            raise FormatError(f"bad twist-matrix JSON: no key {exc}") from None
+        except TypeError:
+            raise FormatError("bad twist-matrix JSON: rows must be a list of rows") from None
         n = obj.get("n", len(rows))
         require_ints(FormatError, "twist-matrix JSON m and n", (m, n))  # cls checks the entries
         if n != len(rows):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given
@@ -31,7 +32,7 @@ def test_random_hilden_element_words_are_pinned():
     for strands in range(2, 13, 2):
         for length in range(40):
             for seed in range(50):
-                w = random_hilden_element(strands, length, seed)
+                w = random_hilden_element(strands, length, random.Random(seed))
                 h.update((",".join(f"{i}:{s}" for i, s in ref_letters(w.runs)) + "\n").encode())
     assert h.hexdigest() == "d6fc66e80f39f2f53a64eab4cdf386cb5e192b94a97e32dc8f4db934488c9502"
 

@@ -171,9 +171,11 @@ class TestTwobridge:
         # digits cannot be printed at a limit of 640
         digit_limit(640)
         assert main([*json_flag, "twobridge", "--rational", "1e700"]) == 2
-        out, err = capsys.readouterr()
-        head = '{"error": "TooManyDigits", ' if json_flag else "error: TooManyDigits: "
-        assert out == "" and err.startswith(head) and "Traceback" not in err
+        message = ("an exact result is too long to print: it has more than Python's limit "
+                   "of 640 digits")
+        err = (json.dumps({"error": "TooManyDigits", "message": message}) if json_flag
+               else f"error: TooManyDigits: {message}")
+        assert capsys.readouterr() == ("", err + "\n")
 
     def test_no_limit_refuses_nothing_early(self, capsys, digit_limit):
         coeffs = ",".join(["999"] * 3001)  # 8,130-digit bound: refused at the default limit
@@ -507,6 +509,31 @@ EXACT_OUTPUTS = [
     pytest.param("twobridge --coeffs 3," + "9" * 4301 + ",3", None, 2, "",
                  "error: FormatError: --coeffs entry 2: an integer of 4301 digits is over "
                  "Python's limit of 4300\n", id="twobridge --coeffs with a 4,301-digit entry"),
+    # a long string is named by its own length, escapes decoded, and a long
+    # integer by its sign too
+    pytest.param("validate FILE", "\t".join("2" * 20) + " " + "3" * 14 + "\n3\n", 2, "",
+                 "error: FormatError: header must be 'm n', got a string of 54 characters\n",
+                 id="validate a 54-character header with 19 tabs"),
+    pytest.param("validate FILE", '{"m": -' + "9" * 4000 + ', "rows": [[3]]}', 2, "",
+                 "error: WidthTooSmall: width m must be >= 2, got a negative integer of 4000 "
+                 "digits\n", id="validate a JSON m of -(4,000 nines)"),
+    # a refused value is named once, not again in Python's message
+    pytest.param("twobridge --rational x", None, 2, "",
+                 "error: FormatError: bad rational 'x': not an integer, a decimal or p/q with "
+                 "q != 0\n",
+                 id="twobridge --rational x"),
+    pytest.param("twobridge --rational 1/0", None, 2, "",
+                 "error: FormatError: bad rational '1/0': not an integer, a decimal or p/q with "
+                 "q != 0\n",
+                 id="twobridge --rational 1/0"),
+    pytest.param("validate FILE", '{"m": 2}', 2, "",
+                 "error: FormatError: bad twist-matrix JSON: no key 'rows'\n",
+                 id="validate JSON without rows"),
+    pytest.param("validate FILE", '{"m": 2, "rows": 5}', 2, "",
+                 "error: FormatError: bad twist-matrix JSON: rows must be a list of rows\n",
+                 id="validate JSON rows 5"),
+    # an all-zero plat closes to free circles only
+    pytest.param("pd FILE", "2 1\n0\n", 0, "(circle)\n(circle)\n", "", id="pd free circles"),
     pytest.param("spheres --m 4 --n 3", None, 0,
                  "r = 5\nS(1,1,1)\nS(2,1,1)\nS(2,2,1)\nS(2,3,1)\nS(2,3,2)\n", "",
                  id="spheres --m 4 --n 3"),

@@ -30,10 +30,10 @@ def test_edge_case_values():
 
 
 def test_colouring_matches_wirtinger_on_256_strands():
-    h = random_hilden_element(256, 1000, 256)
+    h = random_hilden_element(256, 1000, random.Random(256))
     trefoils = BraidWord(256, [(i, 3) for i in range(2, 256, 2)])
-    translate = compose(compose(random_hilden_element(256, 500, 1), trefoils),
-                        random_hilden_element(256, 500, 2))
+    translate = compose(compose(random_hilden_element(256, 500, random.Random(1)), trefoils),
+                        random_hilden_element(256, 500, random.Random(2)))
     # a Hilden element closes to the 128-component unlink; the translate to
     # the connected sum of 127 trefoils
     for word, components, det in ((h, 128, 0), (translate, 1, 3 ** 127)):

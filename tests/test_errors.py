@@ -111,12 +111,14 @@ _REPRS = st.text(max_size=80).map(repr)
 
 
 def _named(piece: str) -> str:
-    """What bounded makes of one piece: a long digit run or repr by its length."""
+    """What bounded makes of one piece: a long repr by the length of the
+    string it shows, a long digit run by its digit count and its sign."""
     if piece[:1] in "'\"":
-        return piece if len(piece) <= 42 else f"a string of {len(piece) - 2} characters"
+        return piece if len(piece) <= 42 else (
+            f"a string of {len(ast.literal_eval(piece))} characters")
     digits = piece.lstrip("+-")
     if digits.isdigit() and len(digits) > 40:
-        return f"an integer of {len(digits)} digits"
+        return f"{'a negative' if piece[0] == '-' else 'an'} integer of {len(digits)} digits"
     return piece
 
 
@@ -128,8 +130,9 @@ def test_bounded_names_each_long_value_by_its_length(pieces):
 
 
 def test_a_coded_error_is_bounded_wherever_printed():
-    assert str(IndexRange(f"index {-10 ** 50} of {'x' * 41!r}")) == (
-        "index an integer of 51 digits of a string of 41 characters")
+    assert str(IndexRange(f"index {-10 ** 50} of {'x' * 41!r}, {10 ** 50}, {chr(9) * 41!r}")) == (
+        "index a negative integer of 51 digits of a string of 41 characters, "
+        "an integer of 51 digits, a string of 41 characters")
     short = f"index {10 ** 39} of {'x' * 40!r}"
     assert str(IndexRange(short)) == short
 
