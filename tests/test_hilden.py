@@ -76,6 +76,11 @@ class TestApplyMoves:
         b = BraidWord(4, [(2, -3)])
         assert apply_moves(b) == b
 
+    def test_left_h1_example(self):
+        b = BraidWord(4, [(2, -3)])
+        out = apply_moves(b, left=[HildenMove("h1", 1)])
+        assert list(out.runs) == [(1, 1), (2, -3)]
+
     def test_left_moves_multiply_in_order(self):
         b = BraidWord(8)
         out = apply_moves(b, left=[HildenMove("h1", 1), HildenMove("h1", 3)])
@@ -111,6 +116,17 @@ class TestRandomElement:
     def test_zero_length_is_identity(self):
         assert random_hilden_element(8, 0, random.Random(1)) == BraidWord(8)
 
+    def test_deterministic_in_seed(self):
+        a = random_hilden_element(8, 6, random.Random(123))
+        b = random_hilden_element(8, 6, random.Random(123))
+        assert a == b
+        assert a != random_hilden_element(8, 6, random.Random(124))
+
+    def test_golden_word(self):
+        from platknot.braid import format_word
+        w = random_hilden_element(8, 4, random.Random(2024))
+        assert format_word(w) == "s2 s1 s3^-1 s2^-1 s4^-1 s5^-1 s3 s4 s7^-1 s6^-1 s7^-1 s5 s6"
+
     @pytest.mark.parametrize("strands", [*range(2, 17, 2), 256])
     def test_generator_table_holds_the_expanded_generators(self, strands):
         assert hilden._generator_words(strands) == tuple(
@@ -130,7 +146,8 @@ class TestRandomElement:
         with pytest.raises(FormatError):
             random_hilden_element(4, length, random.Random(0))
 
-    @pytest.mark.parametrize("rng", [0, 0.5, None, random], ids=["int", "float", "None", "module"])
+    @pytest.mark.parametrize("rng", [0, "0", 0.5, None, random],
+                             ids=["int", "str", "float", "None", "module"])
     def test_rng_must_be_a_generator(self, rng):
         with pytest.raises(FormatError):
             random_hilden_element(4, 2, rng)
@@ -223,6 +240,10 @@ class TestCosetConsistency:
             runs.append((coset_consistency(M1, M1_ROT, samples=5, seed=seed), words[:]))
         assert runs[0] == runs[1]
         assert runs[0][1] != runs[2][1]
+
+    def test_summary_mentions_verdict(self):
+        report = coset_consistency(M1, M1, samples=2, seed=0)
+        assert "verdict: same_coset" in report.summary()
 
     def test_mirror_image_is_consistent(self):
         # the harness cannot tell a plat from its mirror image: neither the

@@ -169,6 +169,11 @@ class TestJones:
         assert jones(closure(TwistMatrix(2, [(1,)]))) == LaurentPoly.one()
         assert jones(closure(TwistMatrix(2, [(-1,)]))) == LaurentPoly.one()
 
+    def test_trefoil_either_chirality(self):
+        v = jones(closure(TwistMatrix(2, [(3,)])))
+        left = LaurentPoly({-8: -1, -6: 1, -2: 1})   # -t^-4 + t^-3 + t^-1
+        assert v in (left, left.reciprocal())
+
     def test_jones_canonical_matches_jones_on_max_writhe_diagram(self):
         d = closure(TwistMatrix(2, [(3,)]))
         assert max_writhe(d) == d.writhe

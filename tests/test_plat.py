@@ -12,6 +12,7 @@ from platknot import (
     component_count,
     is_highly_twisted,
     to_braid_word,
+    validate,
 )
 from platknot.braid import CROSSING_BUDGET, BraidWord
 from platknot.canonical import SymmetryElement, symmetry_group
@@ -45,6 +46,9 @@ def closure_digest(words) -> str:
 
 
 class TestValidate:
+    def test_example_matrix_ok(self, example_matrix):
+        validate(example_matrix)
+
     # validate on shapes no constructor builds: the plat.validate row of
     # tests/test_differential.py
 
@@ -76,6 +80,15 @@ class TestValidate:
 
 
 class TestHighlyTwisted:
+    def test_example_is_4_highly_twisted(self, example_matrix):
+        assert is_highly_twisted(example_matrix, 4)
+
+    def test_example_is_not_5_highly_twisted(self, example_matrix):
+        assert not is_highly_twisted(example_matrix, 5)
+
+    def test_any_matrix_is_0_highly_twisted(self, example_matrix):
+        assert is_highly_twisted(example_matrix, 0)
+
     @settings(deadline=None)
     @given(mat=any_matrices(), c=st.integers(-2, 12) | st.integers())
     def test_every_entry_is_checked_for_any_c(self, mat, c):
@@ -83,9 +96,22 @@ class TestHighlyTwisted:
 
 
 class TestToBraidWord:
+    def test_example_expansion(self, example_matrix):
+        w = to_braid_word(example_matrix)
+        assert w.strands == 8
+        assert list(w.runs) == [(2, 4), (4, 4), (6, 4),
+                                (1, 4), (3, -6), (5, 4), (7, 4),
+                                (2, 4), (4, 4), (6, 6)]
+
     def test_all_zero_gives_identity(self):
         w = to_braid_word(TwistMatrix(4, [(0, 0, 0), (0, 0, 0, 0), (0, 0, 0)]))
         assert w.strands == 8 and len(w) == 0
+
+    def test_single_region_sign_convention(self):
+        # a_11 = 3 on width 2 becomes sigma_2^-3 on 4 strands
+        w = to_braid_word(TwistMatrix(2, [(3,)]))
+        assert w.strands == 4
+        assert list(w.runs) == [(2, -3)]
 
 
 class TestClosure:
@@ -98,6 +124,14 @@ class TestClosure:
             with address_space_cap(), pytest.raises(TooManyCrossings) as exc:
                 closure(mat, style)
             assert exc.value.cap == CROSSING_BUDGET
+
+    def test_crossing_count_is_total_twist(self, example_matrix):
+        d = closure(example_matrix)
+        assert d.crossing_count == sum(abs(a) for a in example_matrix.entries())
+
+    def test_trefoil(self):
+        d = closure(TwistMatrix(2, [(3,)]))
+        assert d.crossing_count == 3 and d.n_components == 1
 
     def test_all_zero_standard_is_m_circles(self):
         d = closure(TwistMatrix(4, [(0, 0, 0), (0, 0, 0, 0), (0, 0, 0)]))
@@ -115,6 +149,22 @@ class TestClosure:
                 seen[a] = seen.get(a, 0) + 1
         assert set(seen) == set(range(1, 2 * d.crossing_count + 1))
         assert all(v == 2 for v in seen.values())
+
+    def test_pd_golden_trefoil(self):
+        d = closure(TwistMatrix(2, [(3,)]))
+        assert d.pd_lines() == ["X[1,5,2,4]", "X[5,3,6,2]", "X[3,1,4,6]"]
+
+    def test_pd_deterministic(self, example_matrix):
+        a = closure(example_matrix)
+        b = closure(example_matrix)
+        assert a == b
+
+    def test_gauss_code_trefoil(self):
+        d = closure(TwistMatrix(2, [(3,)]))
+        (line,) = d.gauss_lines()
+        toks = line.split()
+        assert len(toks) == 6
+        assert sorted(toks) == sorted(["O1+", "U2+", "O3+", "U1+", "O2+", "U3+"])
 
     def test_twist_region_locality(self, example_matrix):
         # crossings come in twist-region runs; consecutive crossings of one

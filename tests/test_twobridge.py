@@ -28,6 +28,9 @@ class TestEvaluate:
     def test_two_levels(self):
         assert cf_evaluate([0, 3, -3]) == Fraction(3, 8)
 
+    def test_hand_example(self):
+        assert cf_evaluate([3, -3, 3]) == Fraction(21, 8)
+
     def test_zero_tail(self):
         with pytest.raises(DivisionByZeroTail):
             cf_evaluate([1, 1, -1])
@@ -45,6 +48,9 @@ class TestEvaluate:
 class TestReconstruct:
     def test_simple(self):
         assert cf_reconstruct(Fraction(17, 4)) == (4, 4)
+
+    def test_hand_example(self):
+        assert cf_reconstruct(Fraction(21, 8)) == (3, -3, 3)
 
     def test_half_is_ambiguous(self):
         with pytest.raises(NotRepresentable):
@@ -109,6 +115,14 @@ class TestSchubertPair:
     def test_min_numerator_digits_checks_like_schubert_pair(self, coeffs):
         with pytest.raises(InvalidCoefficients):
             min_numerator_digits(coeffs)
+
+    def test_both_members_share_numerator(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            coeffs = [rng.choice([1, -1]) * rng.randint(3, 9)
+                      for _ in range(rng.choice([1, 3, 5]))]
+            nums = {abs(r.numerator) for r in schubert_pair(coeffs)}
+            assert len(nums) == 1
 
 
 class TestBoundaryCoeffs:
