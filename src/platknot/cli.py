@@ -253,13 +253,15 @@ def _cmd_spheres(args) -> int:
     return 0
 
 
-def _int_in(lo: int | None, hi: int):
-    """argparse type for an integer in lo..hi (lo None: at most hi, and the
-    command rejects a value that is too small), checked before any work."""
+def _int_in(lo: int | None, hi: int | None):
+    """argparse type for an integer in lo..hi, checked before any work; lo
+    None: at most hi, and the command rejects a value that is too small; hi
+    None: at least lo."""
     def check(text: str) -> int:
         value = int(text)
-        if value > hi or (lo is not None and value < lo):
-            bound = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
+        if (hi is not None and value > hi) or (lo is not None and value < lo):
+            bound = (f"at most {hi}" if lo is None else f"at least {lo}" if hi is None
+                     else f"in {lo}..{hi}")
             raise argparse.ArgumentTypeError(f"{text!r} is not {bound}")
         return value
     check.__name__ = "int"  # argparse refuses a ValueError as "invalid int value"
@@ -286,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jones-cap", type=_int_in(0, invariants.BRACKET_CAP), default=invariants.BRACKET_CAP,
         help="largest crossing count whose Jones polynomial is computed, "
              f"0..{invariants.BRACKET_CAP} (default {invariants.BRACKET_CAP})")
-    seed = _shared_option("--seed", type=int, default=0)
+    # random.Random seeds an int by its absolute value: -k would draw what k draws
+    seed = _shared_option("--seed", type=_int_in(0, None), default=0,
+                          help="seed of the random draws, at least 0 (default 0)")
     parser = _Parser(
         prog="plat",
         description="Highly twisted plat diagrams: canonical forms, invariants, "

@@ -18,8 +18,8 @@ from typing import Sequence
 from .braid import BraidWord, compose, free_reduce, inverse
 from .canonical import equivalent
 from .errors import FormatError, IndexParity, IndexRange, TooMuchWork, require_ints, shown
-from .invariants import closure_determinant
-from .plat import TwistMatrix, closure_components, to_braid_word
+from .invariants import abs_det, closure_sweep
+from .plat import TwistMatrix, to_braid_word
 
 __all__ = [
     "HildenMove",
@@ -148,13 +148,15 @@ class CosetReport:
 
 
 def _closure_invariants(word: BraidWord) -> dict:
-    return {"components": closure_components(word), "determinant": closure_determinant(word)}
+    components, minor = closure_sweep(word)  # both invariants from one sweep
+    return {"components": components, "determinant": abs_det(minor)}
 
 
 def _colouring_bits(mat: TwistMatrix) -> int:
     """(m - 1) * sum of bit_length(2|a| + 1) over the entries: m - 1 colouring
     passes, each over values of at most prod(2|a| + 1), so it bounds the bit
-    length that :func:`closure_determinant` and its Bareiss step work at."""
+    length that :func:`~platknot.invariants.closure_sweep` and its Bareiss
+    step work at."""
     return (mat.m - 1) * sum((2 * abs(a) + 1).bit_length() for a in mat.entries())
 
 
@@ -182,12 +184,14 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     theorem's hypotheses, or the code of the failing one is raised, as
     :func:`~platknot.canonical.equivalent` does.
 
-    ``seed``, an int, seeds one ``random.Random`` per call.  Every translate
-    is drawn from it: each side's length, then that side's generators, which
+    ``seed``, an int >= 0, seeds one ``random.Random`` per call; a negative
+    one is refused, as ``random.Random`` seeds an int by its absolute value
+    and would draw what its positive twin draws.  Every translate is drawn
+    from it: each side's length, then that side's generators, which
     :func:`random_hilden_element` draws from the same generator.
 
-    The closure determinant, of word 2 once and of word 1 and each translate,
-    is nearly all the cost, so TooMuchWork is raised before the first one
+    The colouring sweep, of word 2 once and of word 1 and each translate, is
+    nearly all the cost, so TooMuchWork is raised before the first one
     when their colouring bits, ``(1 + samples) * bits(mat1) + bits(mat2)``,
     exceed ``COSET_WORK_BUDGET``.  Per determinant, on a 2-vCPU Xeon VM
     with Python 3.11: 31k bits (12x13, |a| up to 2*10^5) 3 ms, 132k (20x21,
@@ -197,6 +201,8 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
     require_ints(FormatError, "samples and seed", (samples, seed))
     if samples < 0:
         raise FormatError(f"samples must be >= 0, got {shown(samples)}")
+    if seed < 0:
+        raise FormatError(f"seed must be >= 0, got {shown(seed)}")
     rotation_related = equivalent(mat1, mat2)  # raises outside the hypotheses unless True
     work = (1 + samples) * _colouring_bits(mat1) + _colouring_bits(mat2)
     if work > COSET_WORK_BUDGET:

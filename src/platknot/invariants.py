@@ -4,9 +4,11 @@ Kauffman bracket over all 2^c smoothing states (at most ``BRACKET_CAP``
 crossings), the Jones polynomial by writhe normalization, and the link
 determinant.
 
-:func:`closure_determinant`, which the coset harness uses, sweeps Fox
-colourings over a braid word's m bridges with no diagram built.  Its oracle
-:func:`determinant`, also the CLI report's, and the bracket read a PD code
+:func:`closure_sweep`, which the coset harness uses, sweeps Fox colourings
+over a braid word's m bridges with no diagram built, and gives both closure
+invariants: the component count, and the colouring minor whose |det|
+:func:`closure_determinant` reads.  Its oracle :func:`determinant`, also the
+CLI report's, and the bracket read a PD code
 through one table, :func:`_pd_mates`, of the two ends of each label.  The
 determinant walks each over-arc on it to find the Wirtinger generators and
 eliminates the sparse minor at t = -1 on +-1 pivots, with fraction-free
@@ -24,7 +26,7 @@ from typing import Mapping
 
 from .braid import BraidWord
 from .errors import FormatError, InternalError, TooManyCrossings, shown
-from .plat import PlanarDiagram, PlatClosureStyle, check_style
+from .plat import PlanarDiagram, PlatClosureStyle, bridge_components, check_style
 
 __all__ = [
     "LaurentPoly",
@@ -33,7 +35,9 @@ __all__ = [
     "jones_canonical",
     "jones_at_minus_one",
     "max_writhe",
+    "closure_sweep",
     "closure_determinant",
+    "abs_det",
     "determinant",
     "BRACKET_CAP",
 ]
@@ -279,58 +283,87 @@ def jones_at_minus_one(poly: LaurentPoly) -> int:
     return abs(re) + abs(im)
 
 
-def _bareiss_abs_det(mat: list[list[int]]) -> int:
-    """|det| of an integer matrix by fraction-free elimination."""
-    n = len(mat)
+def abs_det(rows: list[list[int]]) -> int:
+    """|det| of a square integer matrix by fraction-free (Bareiss)
+    elimination of ``rows`` in place: every caller builds its rows fresh."""
+    n = len(rows)
     if n == 0:
         return 1
-    m = [row[:] for row in mat]
     prev = 1
     for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
+        for piv in range(k, n):
+            if rows[piv][k]:
+                break
+        else:
             return 0
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        mkk = m[k][k]
+            rows[k], rows[piv] = rows[piv], rows[k]
+        row_k = rows[k]
+        mkk = row_k[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
+            row_i = rows[i]
+            mik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * mkk - mik * row_k[j]) // prev
         prev = mkk
-    return abs(m[n - 1][n - 1])
+    return abs(rows[n - 1][n - 1])
 
 
-def closure_determinant(word: BraidWord,
-                        style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
-    """Link determinant of the ``style`` plat closure of ``word``, from Fox
-    colourings of its m bridges; no diagram is built.
+def closure_sweep(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.STANDARD
+                  ) -> tuple[int, list[list[int]]]:
+    """(component count, colouring minor) of the ``style`` plat closure of
+    ``word``, from one sweep of Fox colourings of its m bridges; no diagram
+    is built.
 
     One scalar pass per top bridge j colours its two ends 1 and all else 0,
     and sweeps the runs: sigma_i^a maps the colours (x, y) at positions i,
     i+1 to (x + d, y + d), d = a*(x - y), in closed form.  The bottom bridges
-    (p, q) then read column j of the colouring matrix, col[p] - col[q]; each
-    row of the full matrix sums to 0, and |det| of the first minor is the
-    determinant (the Burau matrix at t = -1): 0 on split links, 1 on a lone
-    circle.  The minor drops the last top and bottom bridge, so m - 1 passes
-    run; on 2 strands the minor is empty.
+    (p, q) then read row j of the minor, col[p] - col[q].  The minor drops
+    the last top and bottom bridge, so m - 1 passes run; each row of the
+    full matrix sums to 0, and |det| of the minor is the determinant.
+
+    The colouring mod 2 is the strand permutation: a run of odd exponent
+    swaps its two strands, an even one fixes them.  So the first pass also
+    carries ``at[pos]``, the top bridge whose strand is at pos, and the
+    bottom bridges join them (:func:`~platknot.plat.bridge_components`).  On
+    2 strands the minor is empty: the one bridge colours both strands 1, and
+    the pass moves no colour.
     """
     check_style(style)
     strands, runs = word.strands, word.runs
-    top, bottom = (pairs[:-1] for pairs in style.bridges(strands))  # the minor's bridges
-    minor = []
-    for p, q in top:
+    top_pairs, bottom_pairs = style.bridges(strands)
+    bottom = bottom_pairs[:-1]  # the minor's bottom bridges
+    at, col = [0] * (strands + 1), [0] * (strands + 1)
+    for j, (p, q) in enumerate(top_pairs):
+        at[p] = at[q] = j
+    p, q = top_pairs[0]
+    col[p] = col[q] = 1
+    for i, a in runs:
+        if a % 2:
+            at[i], at[i + 1] = at[i + 1], at[i]
+        x, y = col[i], col[i + 1]
+        if x != y:  # else d = 0: the run leaves the colours as they are
+            d = a * (x - y)
+            col[i], col[i + 1] = x + d, y + d
+    minor = [[col[p] - col[q] for p, q in bottom]] if bottom else []
+    for p, q in top_pairs[1:-1]:
         col = [0] * (strands + 1)
         col[p] = col[q] = 1
         for i, a in runs:
             x, y = col[i], col[i + 1]
-            if x != y:  # else d = 0: the run leaves the colours as they are
+            if x != y:
                 d = a * (x - y)
                 col[i], col[i + 1] = x + d, y + d
         minor.append([col[p] - col[q] for p, q in bottom])
-    return _bareiss_abs_det(minor)  # the transposed minor: same |det|
+    return bridge_components(at, bottom_pairs), minor
+
+
+def closure_determinant(word: BraidWord,
+                        style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
+    """Link determinant of the ``style`` plat closure of ``word``: |det| of
+    the colouring minor of :func:`closure_sweep` (the Burau matrix at
+    t = -1), 0 on split links, 1 on a lone circle."""
+    return abs_det(closure_sweep(word, style)[1])
 
 
 def determinant(diagram: PlanarDiagram) -> int:
@@ -384,7 +417,7 @@ def determinant(diagram: PlanarDiagram) -> int:
             if not row:
                 return 0
     core = [row for row in rows if row is not None]
-    return _bareiss_abs_det([[row.get(j, 0) for j in col_rows] for row in core])
+    return abs_det([[row.get(j, 0) for j in col_rows] for row in core])
 
 
 def _wirtinger_minor(quads) -> list[dict[int, int]] | None:

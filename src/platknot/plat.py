@@ -463,8 +463,8 @@ def component_count(mat: TwistMatrix, style: PlatClosureStyle = PlatClosureStyle
 def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.STANDARD) -> int:
     """Number of link components of the plat closure of ``word``, found
     without :func:`braid_closure`: ``at[pos]`` is the top bridge whose strand
-    is at ``pos``, swapped by each run of odd exponent, and each bottom bridge
-    joins the top bridges of its two strands in a union-find."""
+    is at ``pos``, swapped by each run of odd exponent, and the bottom
+    bridges join them (:func:`bridge_components`)."""
     check_style(style)
     top_pairs, bottom_pairs = style.bridges(word.strands)
     at = [0] * (word.strands + 1)
@@ -473,8 +473,16 @@ def closure_components(word: BraidWord, style: PlatClosureStyle = PlatClosureSty
     for i, exp in word.runs:
         if exp % 2:
             at[i], at[i + 1] = at[i + 1], at[i]
-    parent = list(range(len(top_pairs)))
-    components = len(top_pairs)
+    return bridge_components(at, bottom_pairs)
+
+
+def bridge_components(at: list[int], bottom_pairs) -> int:
+    """Number of components of a plat closure whose strand at position pos
+    leaves top bridge ``at[pos]``: each bottom bridge joins the top bridges
+    of its two strands in a union-find.  A closure has as many top bridges
+    as bottom ones."""
+    parent = list(range(len(bottom_pairs)))
+    components = len(bottom_pairs)
     for p, q in bottom_pairs:
         a, b = at[p], at[q]
         while parent[a] != a:

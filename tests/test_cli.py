@@ -419,7 +419,8 @@ def test_output_pinned(example_file, capsys, command, digest):
 
 
 # (argv, contents of FILE, exit status, stdout, stderr), FILE in stderr
-# standing for the file's path: outputs short enough to state whole
+# standing for the file's path: outputs short enough to state whole; an
+# argparse refusal is stated by its last line, after the usage lines
 EXACT_OUTPUTS = [
     pytest.param("twobridge --coeffs 3,-3,3", None, 0, "33/10\n", "",
                  id="twobridge --coeffs 3,-3,3"),
@@ -502,6 +503,14 @@ EXACT_OUTPUTS = [
                  "word 2 invariants: {'components': 4, 'determinant': 1140352}\n"
                  "sampled translates checked: 2\nno violations found\n", "",
                  id="hilden coset FILE FILE --samples 2"),
+    # random.Random seeds an int by its absolute value, so a negative seed
+    # would draw what its positive twin draws
+    pytest.param("hilden random --strands 8 --length 4 --seed=-3", None, 2, "",
+                 "plat hilden random: error: argument --seed: '-3' is not at least 0\n",
+                 id="hilden random --seed=-3"),
+    pytest.param("hilden coset FILE FILE --seed=-3", EXAMPLE_TEXT, 2, "",
+                 "plat hilden coset: error: argument --seed: '-3' is not at least 0\n",
+                 id="hilden coset FILE FILE --seed=-3"),
     # an integer past Python's digit limit is named by place and length, not echoed
     pytest.param("validate FILE", "2 1\n" + "9" * 4301 + "\n", 2, "",
                  "error: FormatError: line 2: an integer of 4301 digits is over Python's limit "
@@ -548,8 +557,14 @@ def test_exact_output(tmp_path, capsys, command, content, status, out, err):
     path = tmp_path / "input.plat"
     if content is not None:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    assert main([str(path) if a == "FILE" else a for a in command.split()]) == status
-    assert capsys.readouterr() == (out, err.replace("FILE", str(path)))
+    try:
+        got = main([str(path) if a == "FILE" else a for a in command.split()]), capsys.readouterr()
+    except SystemExit as exc:  # argparse's usage lines wrap with the terminal's width
+        got_out, got_err = capsys.readouterr()
+        usage, line = got_err[:-1].rsplit("\n", 1)
+        assert usage.startswith("usage: plat ")
+        got = exc.code, (got_out, line + "\n")
+    assert got == (status, (out, err.replace("FILE", str(path))))
 
 
 # -- boundary fuzz: generated matrix files, text and JSON, well formed or not.

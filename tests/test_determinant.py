@@ -3,14 +3,14 @@ sampled comparisons with the oracles are rows of ``test_differential.py``."""
 
 import random
 
-from platknot import PlatClosureStyle, braid_closure, closure
+from platknot import PlanarDiagram, PlatClosureStyle, braid_closure, closure
 from platknot.braid import BraidWord, compose
 from platknot.canonical import ELEMENTS, apply
 from platknot.hilden import random_hilden_element
 from platknot.invariants import closure_determinant, determinant
 from platknot.plat import closure_components
 
-from conftest import random_matrix
+from conftest import random_matrix, random_small_matrix
 
 EDGE_CASES = {
     "unknot": (BraidWord(2, []), 1),
@@ -51,3 +51,28 @@ def test_large_plat_rotations_agree():
         components.add(d.n_components)
     assert len(dets) == 1 and len(components) == 1
     assert (dets.pop() % 2 == 1) == (components.pop() == 1)
+
+
+def renumbered(d: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
+    """``d`` with its crossings renumbered at random: quadruples, signs and
+    the crossing indexes of its visits together."""
+    order = list(range(d.crossing_count))
+    rng.shuffle(order)  # crossing order[k] becomes crossing k
+    new = {old: k for k, old in enumerate(order)}
+    return PlanarDiagram(quadruples=tuple(d.quadruples[old] for old in order),
+                         signs=tuple(d.signs[old] for old in order),
+                         visits=tuple(tuple((new[k], over) for k, over in comp)
+                                      for comp in d.visits))
+
+
+def test_determinant_does_not_depend_on_crossing_order():
+    # the +-1 pivots are tried in crossing order; the value may not be
+    rng = random.Random(5)
+    mats = [random_small_matrix(rng, 18, ms=(2, 3, 4, 5)) for _ in range(40)]
+    mats += [random_matrix(rng, 6, 5, 1, 9), random_matrix(rng, 12, 13, 4, 9)]
+    for mat in mats:
+        for style in PlatClosureStyle:
+            d = closure(mat, style)
+            det = determinant(d)
+            for _ in range(2):
+                assert determinant(renumbered(d, rng)) == det, (mat, style)

@@ -19,7 +19,7 @@ from platknot.braid import BraidWord, compose, free_reduce, inverse
 from platknot.canonical import ELEMENTS, apply, canonical_form, equivalent, symmetry_group
 from platknot.errors import DivisionByZeroTail, PlatError, WrongRowLength
 from platknot.hilden import random_hilden_element
-from platknot.invariants import (_bareiss_abs_det, _wirtinger_minor, closure_determinant,
+from platknot.invariants import (_wirtinger_minor, abs_det, closure_determinant, closure_sweep,
                                  determinant, jones, jones_at_minus_one)
 from platknot.plat import closure_components, row_width
 from platknot.twobridge import cf_evaluate, cf_reconstruct, min_numerator_digits, schubert_pair
@@ -167,7 +167,7 @@ def dense_determinant(d) -> int:
     rows = _wirtinger_minor(d.quadruples)
     if rows is None:
         return 0
-    return _bareiss_abs_det([[row.get(j, 0) for j in range(len(rows))] for row in rows])
+    return abs_det([[row.get(j, 0) for j in range(len(rows))] for row in rows])
 
 
 class Closure(namedtuple("Closure", "word style")):
@@ -373,6 +373,11 @@ BRIDGE_FREE_CLOSURES = tuple(Closure(BraidWord(n, runs), style)
                              for n, runs in ((4, [(3, 1)]), (6, [(3, 2), (5, -1)]))
                              for style in PlatClosureStyle)
 
+# 2 strands: one bridge at each end, so the sweep's minor is empty
+TWO_STRAND_CLOSURES = tuple(Closure(BraidWord(2, runs), style)
+                            for runs in ([], [(1, 1)], [(1, -2)], [(1, 5)])
+                            for style in PlatClosureStyle)
+
 
 def diagram_row(name, fast, oracle, words, examples=()):
     """A row on 150 closures of ``words`` in any style, and on the edge words."""
@@ -391,6 +396,8 @@ DIAGRAM_ROWS = (
                 letter_words | run_words),
     diagram_row("components.walk", lambda c: closure_components(*c),
                 lambda c: c.diagram.n_components, letter_words | run_words),
+    diagram_row("components.sweep", lambda c: closure_sweep(*c)[0],
+                lambda c: closure_components(*c), letter_words | run_words, TWO_STRAND_CLOSURES),
     diagram_row("determinant.jones", wirtinger, lambda c: jones_at_minus_one(jones(c.diagram)),
                 braid_words(LETTERS, JONES_CROSSINGS)),
 )

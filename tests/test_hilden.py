@@ -209,8 +209,9 @@ class TestCosetConsistency:
         with pytest.raises(error):
             coset_consistency(mat1, mat2, samples=4, seed=2)
 
+    # a negative seed would draw what its positive twin draws
     @pytest.mark.parametrize("samples,seed", [(2.5, 0), (2.0, 0), (False, 0), (2, 0.5), (2, "0"),
-                                              (-1, 0)])
+                                              (-1, 0), (2, -3)])
     def test_samples_and_seed_must_be_exact_ints(self, samples, seed):
         with pytest.raises(FormatError):
             coset_consistency(M1, M1, samples=samples, seed=seed)
@@ -277,9 +278,11 @@ def test_coset_work_is_bounded_before_any_colouring(monkeypatch):
     # 120 colouring bits for M1, so 40,000 samples are far over the budget
     def unreachable(*args):
         raise AssertionError("coloured before the work bound")
-    monkeypatch.setattr(hilden, "closure_determinant", unreachable)
+    monkeypatch.setattr(hilden, "closure_sweep", unreachable)
     with pytest.raises(TooMuchWork):
         coset_consistency(M1, M1, samples=40_000)
+    with pytest.raises(AssertionError, match="coloured"):  # within the budget it sweeps
+        coset_consistency(M1, M1, samples=0)
 
 
 def test_coset_budget_admits_a_12x13_plat_with_twists_up_to_2e5():
