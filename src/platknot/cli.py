@@ -26,13 +26,18 @@ __all__ = ["main"]
 
 
 def _load_matrix(path: str) -> TwistMatrix:
+    """The matrix in the text or JSON file at ``path``: its bytes, read in one
+    unbuffered call and decoded once, with CRLF and a lone CR then read as
+    LF, as text mode reads them; a decode error names its offset in the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().removeprefix("\ufeff")  # drop a BOM; byte offsets count it
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+        text = data.decode("utf-8").removeprefix("\ufeff")  # drop a BOM; byte offsets count it
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.lstrip().startswith("{"):
         return TwistMatrix.from_text(text)
     try:

@@ -160,6 +160,10 @@ def _colouring_bits(mat: TwistMatrix) -> int:
     return (mat.m - 1) * sum((2 * abs(a) + 1).bit_length() for a in mat.entries())
 
 
+def _exponent_sum(word: BraidWord) -> int:
+    return sum(exp for _, exp in word.runs)
+
+
 def _differences(inv1: dict, inv2: dict) -> dict:
     return {k: (v, inv2[k]) for k, v in inv1.items() if v != inv2[k]}
 
@@ -219,16 +223,19 @@ def coset_consistency(mat1: TwistMatrix, mat2: TwistMatrix,
 
     rng = random.Random(seed)
     reduced_b2 = free_reduce(b2)
+    sum_b2 = _exponent_sum(b2)
     for s in range(samples):
         h_left = random_hilden_element(b1.strands, rng.randrange(1, 5), rng)
         h_right = random_hilden_element(b1.strands, rng.randrange(1, 5), rng)
         translate = compose(h_left, b1, h_right)
         inv_t = _closure_invariants(translate)
-        mismatch = _differences(inv1, inv_t)
-        if mismatch:
-            violations.append(
-                f"sample {s}: Hilden translate changed closure invariants: {mismatch}")
-        if not rotation_related and free_reduce(translate).runs == reduced_b2.runs:
+        if inv_t != inv1:
+            violations.append(f"sample {s}: Hilden translate changed closure invariants: "
+                              f"{_differences(inv1, inv_t)}")
+        # free reduction keeps the exponent sum: a translate whose sum differs
+        # from word 2's cannot reduce to it
+        if (not rotation_related and _exponent_sum(translate) == sum_b2
+                and free_reduce(translate).runs == reduced_b2.runs):
             violations.append(
                 f"sample {s}: translate reduces to word 2 although canonical forms differ")
 

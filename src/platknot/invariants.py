@@ -107,19 +107,49 @@ class LaurentPoly:
 def _pd_mates(quadruples) -> list[int]:
     """``mate[p]`` is the other PD position holding the label at p = 4k + j
     (label j of crossing k).  Raises FormatError unless every crossing has
-    four labels and every label sits on two positions."""
+    four labels and every label, a hashable value, sits on two positions.
+
+    One pass pairs each position with the first one of its label; a third
+    end, an unhashable label or a label left with one end sends the code to
+    :func:`_label_error`.
+    """
     labels = [label for quad in quadruples for label in quad]
     if len(labels) != 4 * len(quadruples):
         raise FormatError("a PD crossing does not have 4 arc ends")
-    ends: dict[int, list[int]] = {}
-    for pos, label in enumerate(labels):
-        ends.setdefault(label, []).append(pos)
-    mate = [0] * len(labels)
-    for label, pair in ends.items():
-        if len(pair) != 2:
-            raise FormatError(f"PD label {shown(label)} is on {len(pair)} arc ends, not 2")
-        mate[pair[0]], mate[pair[1]] = pair[1], pair[0]
+    first: dict = {}
+    mate = [-1] * len(labels)
+    try:
+        for pos, label in enumerate(labels):
+            q = first.setdefault(label, pos)
+            if q != pos:
+                if mate[q] >= 0:  # the label's third end
+                    raise _label_error(labels)
+                mate[q], mate[pos] = pos, q
+    except TypeError:  # an unhashable label
+        raise _label_error(labels) from None
+    if 2 * len(first) != len(labels):  # no label has 3 ends, so some label has 1
+        raise _label_error(labels)
     return mate
+
+
+def _label_error(labels) -> FormatError:
+    """The refusal of a PD code whose ``labels`` are not each on two ends: it
+    names the first label, in the order of first ends, that is unhashable or
+    on some other number of ends."""
+    counts: dict = {}
+    for label in labels:
+        try:
+            counts[label] = counts.get(label, 0) + 1
+        except TypeError:  # an unhashable label, named in its place below
+            pass
+    for label in labels:
+        try:
+            ends = counts[label]
+        except TypeError:
+            return FormatError(f"PD label {shown(label)} is unhashable")
+        if ends != 2:
+            return FormatError(f"PD label {shown(label)} is on {ends} arc ends, not 2")
+    raise InternalError("every PD label is on two arc ends")
 
 
 def _state_loop_counts(quadruples) -> dict[tuple[int, int], int]:
@@ -378,6 +408,12 @@ def determinant(diagram: PlanarDiagram) -> int:
     order: a row with a unit entry clears that entry's column, choosing the
     unit column shared by the fewest rows, the first on a tie (unimodular,
     so |det| is unchanged), and Bareiss finishes the core that is left.
+    The rule reads counts, kept in a list: ``live[j]`` is the number of rows
+    not yet pivoted with an entry in column j.  A row joins the list
+    ``col_rows[j]`` when it gains an entry there and never leaves it;
+    clearing column j skips the rows listed that were pivoted, that lost
+    the entry, or that are listed twice.
+
     Split links have determinant 0, as |V(-1)| does: the Wirtinger minor of
     a split diagram vanishes, and a crossingless circle beside anything
     else (or an entirely-over circle) splits the diagram.  A lone
@@ -388,36 +424,45 @@ def determinant(diagram: PlanarDiagram) -> int:
         return 1 if diagram.free_loops == 1 and not diagram.quadruples else 0
     if rows is None:
         return 0
-    col_rows: dict[int, set[int]] = {j: set() for j in range(len(rows))}
+    live = [0] * len(rows)
+    col_rows: list[list[int] | None] = [[] for _ in rows]  # None once the column is cleared
     for i, row in enumerate(rows):
         for j in row:
-            col_rows[j].add(i)
+            live[j] += 1
+            col_rows[j].append(i)
     for p, prow in enumerate(rows):  # one pass: each row is tried once, in row order
         c, fewest = -1, 0
         for j, v in prow.items():
-            if (v == 1 or v == -1) and (c < 0 or len(col_rows[j]) < fewest):
-                c, fewest = j, len(col_rows[j])
+            if (v == 1 or v == -1) and (c < 0 or live[j] < fewest):
+                c, fewest = j, live[j]
         if c < 0:
             continue
         rows[p] = None
         for j in prow:
-            col_rows[j].discard(p)
+            live[j] -= 1
         pivot = prow.pop(c)  # prow now holds the rest of the pivot row
-        for r in col_rows.pop(c):
+        for r in col_rows[c]:
             row = rows[r]
+            if row is None or c not in row:  # pivoted, or a stale or repeated listing
+                continue
             f = row.pop(c) * pivot
             for j, v in prow.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    row[j] = w
-                    col_rows[j].add(r)
+                if j in row:
+                    w = row[j] - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        live[j] -= 1
                 else:
-                    del row[j]
-                    col_rows[j].discard(r)
+                    row[j] = -f * v
+                    live[j] += 1
+                    col_rows[j].append(r)
             if not row:
                 return 0
-    core = [row for row in rows if row is not None]
-    return abs_det([[row.get(j, 0) for j in col_rows] for row in core])
+        col_rows[c] = None
+    return abs_det([[row.get(j, 0) for j, listed in enumerate(col_rows) if listed is not None]
+                    for row in rows if row is not None])
 
 
 def _wirtinger_minor(quads) -> list[dict[int, int]] | None:

@@ -231,8 +231,8 @@ def check_style(style: PlatClosureStyle) -> None:
 # ends, and a strand leaves through the opposite corner, corner ^ 3.
 _NW, _NE, _SW, _SE = 0, 1, 2, 3
 _CCW_NEXT = (_SW, _NW, _SE, _NE)          # counterclockwise successor of each corner
-_CCW_FROM = tuple(itemgetter(*corners) for corners in (  # all four, counterclockwise
-    (_NW, _SW, _SE, _NE), (_NE, _NW, _SW, _SE), (_SW, _SE, _NE, _NW), (_SE, _NE, _NW, _SW)))
+_CCW_FROM = (  # per corner: all four, counterclockwise from it
+    (_NW, _SW, _SE, _NE), (_NE, _NW, _SW, _SE), (_SW, _SE, _NE, _NW), (_SE, _NE, _NW, _SW))
 _POSITIVE_OVER = (True, False, False, True)  # per corner: NW-SE is over iff positive
 _NEGATIVE_OVER = (False, True, True, False)
 
@@ -439,13 +439,15 @@ def braid_closure(word: BraidWord, style: PlatClosureStyle = PlatClosureStyle.ST
 
     # A crossing is positive iff its under strand enters one corner
     # counterclockwise after its over strand; its PD quadruple starts at the
-    # under strand's entry and runs counterclockwise.
+    # under strand's entry and runs counterclockwise.  One gather reads every
+    # quadruple's labels in that order, taken four at a time.
     e_unders, e_overs = entry[0::2], entry[1::2]
+    ends = iter([label[at + corner] for at, e_under in zip(range(0, ports, 4), e_unders)
+                 for corner in _CCW_FROM[e_under]])
     return PlanarDiagram(
-        quadruples=tuple(_CCW_FROM[e_under](label[at:at + 4])
-                         for at, e_under in zip(range(0, ports, 4), e_unders)),
-        signs=tuple(1 if e_under == _CCW_NEXT[e_over] else -1
-                    for e_under, e_over in zip(e_unders, e_overs)),
+        quadruples=tuple(zip(ends, ends, ends, ends)),
+        signs=tuple([1 if e_under == _CCW_NEXT[e_over] else -1
+                     for e_under, e_over in zip(e_unders, e_overs)]),
         visits=tuple(visits),
     )
 

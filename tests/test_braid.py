@@ -141,6 +141,13 @@ class TestFreeReduce:
         assert len(r) <= len(w)
         assert free_reduce(r) == r
 
+    @given(words)
+    def test_keeps_exponent_sum_and_strand_count(self, w):
+        # what lets the coset harness skip reducing a translate whose
+        # exponent sum differs from word 2's
+        r = free_reduce(w)
+        assert (r.strands, sum(e for _, e in r.runs)) == (w.strands, sum(e for _, e in w.runs))
+
 
 class TestTextSyntax:
     def test_empty_formats_as_marker(self):

@@ -457,6 +457,16 @@ EXACT_OUTPUTS = [
     pytest.param("validate FILE", b"\xef\xbb\xbf4 3\n\xff\n", 2, "",
                  "error: FormatError: cannot read FILE: not UTF-8 at byte 7\n",
                  id="validate non-UTF-8 after a BOM"),
+    # CRLF and a lone CR read as LF, as text mode reads them: a JSON error's
+    # line, column and char count one character per line break
+    pytest.param("canon FILE", EXAMPLE_TEXT.replace("\n", "\r\n"), 0,
+                 "4 3\n-6 -4 -4\n-4 -4 6 -4\n-4 -4 -4\n", "", id="canon CRLF text"),
+    pytest.param("validate FILE", "4 3\r-4 -4 -4\r-4 6 x -4\r-4 -4 -6\r", 2, "",
+                 "error: FormatError: line 3: 'x' is not an integer\n", id="validate lone-CR text"),
+    pytest.param("validate FILE",
+                 '{"m": 4,\r\n "n": 3,  "rows": [[-4, -4, -4], [-4, 6, -4, -4] [-4, -4, -6]]}\r\n',
+                 2, "", "error: FormatError: bad JSON in FILE: Expecting ',' delimiter: "
+                 "line 2 column 50 (char 58)\n", id="validate CRLF JSON syntax error"),
     pytest.param("validate FILE", None, 2, "",
                  "error: FormatError: cannot read FILE: No such file or directory\n",
                  id="validate missing file"),

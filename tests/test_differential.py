@@ -6,8 +6,11 @@ The diagram rows, on (word, style) closures, also run over one seeded corpus.
 """
 
 import functools
+import json
 import operator
+import os
 import random
+import tempfile
 from collections import namedtuple
 from fractions import Fraction
 
@@ -17,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from platknot import PlatClosureStyle, TwistMatrix, braid_closure, closure, to_braid_word, validate
 from platknot.braid import BraidWord, compose, free_reduce, inverse
 from platknot.canonical import ELEMENTS, apply, canonical_form, equivalent, symmetry_group
-from platknot.errors import DivisionByZeroTail, PlatError, WrongRowLength
+from platknot.cli import _load_matrix
+from platknot.errors import DivisionByZeroTail, FormatError, PlatError, WrongRowLength
 from platknot.hilden import random_hilden_element
 from platknot.invariants import (_wirtinger_minor, abs_det, closure_determinant, closure_sweep,
                                  determinant, jones, jones_at_minus_one)
@@ -224,6 +228,81 @@ def ref_validate(mat):
     return None
 
 
+# -- cli.read: the matrix file read as bytes, decoded once and its line
+# -- breaks mapped; its oracle is the reader through text mode that it replaced
+
+def text_mode_load(path):
+    """The matrix file at ``path`` as ``cli._load_matrix`` read it in text mode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    if not text.lstrip().startswith("{"):
+        return TwistMatrix.from_text(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"bad JSON in {path}: {exc}") from None
+    return TwistMatrix.from_json_dict(obj)
+
+
+@functools.cache
+def read_dir() -> tempfile.TemporaryDirectory:
+    return tempfile.TemporaryDirectory()  # removed when the run ends
+
+
+def read_with(load):
+    """``load``'s matrix from a file holding the case's bytes, or the code and
+    message of its error; both readers read the same path."""
+    def read(data):
+        path = os.path.join(read_dir().name, "input.plat")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return load(path)
+        except PlatError as exc:
+            return exc.code, str(exc)
+    return read
+
+
+BOM = b"\xef\xbb\xbf"
+# LF, CR, CRLF and CR CRLF are text mode's line breaks; U+0085 and U+2028
+# are only str.splitlines' (and not JSON whitespace)
+BREAKS = st.sampled_from([b"\n", b"\r", b"\r\n", b"\r\r\n", b"\xc2\x85", b"\xe2\x80\xa8"])
+# invalid UTF-8 (a lone 0xff, a cut 2- and 3-byte sequence), a BOM not at the start
+STRAY = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x80", BOM, b" # note", b"\t", b"x"])
+MATRIX_LINES = ((b"4 3", b"-4 -4 -4", b"-4 6 -4 -4", b"-4 -4 -6"),
+                (b'{"m": 4, "n": 3,', b'"rows": [[-4, -4, -4],', b"[-4, 6, -4, -4],",
+                 b"[-4, -4, -6]]}"))
+
+
+@st.composite
+def matrix_files(draw):
+    """The bytes of a text or JSON matrix file: a BOM or none, each line
+    break drawn from BREAKS, and a STRAY chunk before a drawn line or none."""
+    lines = draw(st.sampled_from(MATRIX_LINES))
+    stray_at = draw(st.integers(0, len(lines)))
+    parts = [draw(st.sampled_from([b"", BOM]))]
+    for k, line in enumerate(lines):
+        if k == stray_at:
+            parts.append(draw(STRAY))
+        parts += [line, draw(BREAKS)]
+    return b"".join(parts)
+
+
+# any bytes, and runs of these chunks: line breaks, BOMs, bad UTF-8 and the
+# pieces of a width-2 text or JSON matrix
+read_cases = (matrix_files()
+              | st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"\xc2\x85", b"\xe2\x80\xa8",
+                                          BOM, b"\xff", b"\xc3", b" ", b"2 1", b"3", b"{",
+                                          b'"m": 2', b'"rows": [[3]]', b",", b"}"]),
+                         max_size=12).map(b"".join)
+              | st.binary(max_size=24))
+
+
 # -- canonical: apply builds each image from checked rows without a second
 # -- check; its oracle is the checked constructor fed by the index formulas
 # -- of apply's docstring, and apply is the oracle of the comparisons of rows
@@ -412,6 +491,8 @@ ROWS = DIAGRAM_ROWS + (
     Row("canonical.symmetry", symmetry_group, symmetries_by_apply, symmetric_matrices(), 300,
         examples=SUBGROUP_EXAMPLES, deadline=None),
     Row("plat.validate", validate_outcome, ref_validate, unchecked_shapes(), 300),
+    Row("cli.read", read_with(_load_matrix), read_with(text_mode_load), read_cases, 300,
+        examples=(b"", b"\r", BOM + b"\r\n", b"2 1\r\r3\r", b'{"m": 2,\r\n"rows": [[3]] x}')),
     Row("twobridge.evaluate", lambda c: outcome(cf_evaluate, c), lambda c: outcome(ref_evaluate, c),
         st.lists(st.integers(-5, 5), min_size=1, max_size=15), 400),
     Row("twobridge.schubert", schubert_pair,

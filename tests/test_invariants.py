@@ -96,13 +96,29 @@ class TestBracket:
         assert h.hexdigest() == (
             "b8c08134f3a9b772c8437552d7c7d884b5e3f4a10a67a119b04716a622b40002")
 
+    # the last: an unhashable label, on two ends by equality
     @pytest.mark.parametrize("oracle", [kauffman_bracket, determinant])
     @pytest.mark.parametrize("quad", [(1, 2, 3, 4), (1, 2, 2, 7), (1, 1, 1, 1),
-                                      (1, 1, 2, 2, 3, 3), (1, 2, 1)])
+                                      (1, 1, 2, 2, 3, 3), (1, 2, 1), (1, [2], 1, [2])])
     def test_label_not_on_exactly_two_ends(self, quad, oracle):
         d = PlanarDiagram((quad,), (1,), (((0, False), (0, True)),))
         with pytest.raises(FormatError):
             oracle(d)
+
+    # the first bad label in the order of first ends is named, with its count,
+    # though the one pass over the ends can stop at a later one: at 2's third
+    # end in (1, 2, 2, 2)
+    @pytest.mark.parametrize("oracle", [kauffman_bracket, determinant])
+    @pytest.mark.parametrize("quad, message", [
+        ((1, 2, 2, 2), "PD label 1 is on 1 arc ends, not 2"),
+        ((1, 1, [2], 3), "PD label [2] is unhashable"),
+        ((1, 1, 3, [2]), "PD label 3 is on 1 arc ends, not 2"),
+    ], ids=["1222", "unhashable-first", "unhashable-later"])
+    def test_label_refusal_names_the_first_bad_label(self, quad, message, oracle):
+        d = PlanarDiagram((quad,), (1,), (((0, False), (0, True)),))
+        with pytest.raises(FormatError) as info:
+            oracle(d)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("signs, visits", [
         ((1,), (((3, False), (3, True)),)),           # visits crossing 3 of 1
